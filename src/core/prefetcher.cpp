@@ -48,6 +48,10 @@ void Prefetcher::sync(const std::vector<ObjectRef>& candidates) {
     batch.push_back(std::move(slot));
   }
   if (refs.empty()) return;
+  std::erase_if(batch_tails_, [](const std::shared_ptr<Slot>& tail) {
+    return tail->cell.is_set();
+  });
+  batch_tails_.push_back(batch.back());
   ++stats_.prefetch_batches;
   stats_.prefetch_batched_objects += refs.size();
   // Occupancy is sampled right after a refill: how full the pipeline runs in
@@ -88,6 +92,12 @@ Task<void> Prefetcher::quiesce() {
   for (auto& entry : outstanding) {
     (void)co_await entry.second->cell.wait();
   }
+  // A batch whose every entry sync() or drop() discarded is no longer in
+  // the window but may still be in flight; awaiting its tail waits it out.
+  // Tails already set (every batch awaited above) resume without a step.
+  const std::vector<std::shared_ptr<Slot>> tails = std::move(batch_tails_);
+  batch_tails_.clear();
+  for (const auto& tail : tails) (void)co_await tail->cell.wait();
 }
 
 Task<void> Prefetcher::batch_worker(SetView* view, std::vector<ObjectRef> refs,

@@ -25,10 +25,12 @@
 // window.
 //
 // Lifetime: batch workers are detached simulator processes holding the view
-// pointer. The iterator awaits quiesce() on its terminal step, so after a
-// run has finished or failed no worker is still in flight; only an iterator
-// abandoned mid-run keeps the contract that the view must outlive any
-// in-flight batch (drain the simulator before tearing the view down).
+// pointer. The iterator awaits quiesce() on its terminal step, and quiesce()
+// awaits every batch still in flight — including a batch whose window
+// entries sync() or drop() all discarded — so after a run has finished or
+// failed no worker is still in flight. Only an iterator abandoned mid-run
+// keeps the contract that the view must outlive any in-flight batch (drain
+// the simulator before tearing the view down).
 
 #include <cstddef>
 #include <memory>
@@ -66,9 +68,9 @@ class Prefetcher {
   /// revalidation found it unreachable; a later retry refetches fresh).
   void drop(ObjectRef ref);
 
-  /// Awaits every outstanding window entry and discards the results, so no
-  /// batch worker (each holds the view pointer) is still in flight when the
-  /// caller starts tearing the view down.
+  /// Awaits every outstanding window entry and every batch still in flight,
+  /// discarding the results, so no batch worker (each holds the view
+  /// pointer) is still running when the caller starts tearing the view down.
   Task<void> quiesce();
 
  private:
@@ -89,6 +91,10 @@ class Prefetcher {
   IteratorStats& stats_;
   obs::MetricsRegistry& metrics_;
   std::unordered_map<ObjectRef, std::shared_ptr<Slot>> slots_;
+  /// The last slot of each batch that may still be in flight. A worker sets
+  /// its slots in order within one event, so a set tail means the worker is
+  /// done; set tails are pruned at the next refill.
+  std::vector<std::shared_ptr<Slot>> batch_tails_;
 };
 
 }  // namespace weakset

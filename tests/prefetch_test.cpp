@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -138,6 +140,84 @@ TEST_F(PrefetchLocalTest, Fig4DoesNotYieldPrefetchedElementTurnedUnreachable) {
   for (const auto& [r, v] : result.elements()) EXPECT_NE(r, ref(9));
   EXPECT_GE(last_stats.prefetch_invalidated, 1u);
   EXPECT_GE(last_stats.skipped_unreachable, 1u);
+}
+
+/// Decorates a LocalSetView: removes members 8 and 9 the moment the batched
+/// fetch carrying them is issued, and counts fetch_many calls in flight.
+class RemoveOnRefillView final : public SetView {
+ public:
+  explicit RemoveOnRefillView(LocalSetView& inner) : inner_(inner) {}
+
+  Task<Result<std::vector<ObjectRef>>> read_members() override {
+    return inner_.read_members();
+  }
+  Task<Result<std::vector<ObjectRef>>> snapshot_atomic(
+      std::function<void()> on_cut) override {
+    return inner_.snapshot_atomic(std::move(on_cut));
+  }
+  Task<Result<void>> freeze() override { return inner_.freeze(); }
+  Task<void> unfreeze() override { return inner_.unfreeze(); }
+  Task<Result<void>> pin_grow_only() override {
+    return inner_.pin_grow_only();
+  }
+  Task<void> unpin_grow_only() override { return inner_.unpin_grow_only(); }
+  [[nodiscard]] bool is_reachable(ObjectRef r) const override {
+    return inner_.is_reachable(r);
+  }
+  [[nodiscard]] std::optional<Duration> distance(ObjectRef r) const override {
+    return inner_.distance(r);
+  }
+  Task<Result<VersionedValue>> fetch(ObjectRef r) override {
+    return inner_.fetch(r);
+  }
+  Task<std::vector<Result<VersionedValue>>> fetch_many(
+      std::vector<ObjectRef> refs) override {
+    if (std::find(refs.begin(), refs.end(), ref(8)) != refs.end()) {
+      inner_.remove(ref(8));
+      inner_.remove(ref(9));
+    }
+    return counted_fetch_many(std::move(refs));
+  }
+  [[nodiscard]] Simulator& sim() override { return inner_.sim(); }
+
+  int in_flight = 0;
+
+ private:
+  Task<std::vector<Result<VersionedValue>>> counted_fetch_many(
+      std::vector<ObjectRef> refs) {
+    ++in_flight;
+    std::vector<Result<VersionedValue>> out =
+        co_await inner_.fetch_many(std::move(refs));
+    --in_flight;
+    co_return out;
+  }
+
+  LocalSetView& inner_;
+};
+
+TEST(PrefetchQuiesceTest, NoBatchInFlightAfterTerminalStep) {
+  // Window 8 prefetches members 0-7, then refills with {8, 9} once half of
+  // it is consumed. That refill removes 8 and 9, so the next sync discards
+  // both entries while their batch is still in flight. The terminal step
+  // must still wait that batch out: afterwards the caller may destroy the
+  // view the batch worker is using.
+  Simulator sim;
+  LocalSetView local{sim};
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    local.add(ref(i), "p" + std::to_string(i));
+  }
+  local.set_latencies(Duration::millis(1), Duration::millis(8));
+  RemoveOnRefillView view{local};
+  IteratorOptions options;
+  options.prefetch_window = 8;
+  auto iterator =
+      make_elements_iterator(view, Semantics::kFig6Optimistic, options);
+  const DrainResult result = run_task(sim, drain(*iterator));
+  EXPECT_EQ(view.in_flight, 0);
+  ASSERT_TRUE(result.finished());
+  EXPECT_EQ(result.count(), 8u);
+  EXPECT_GE(iterator->stats().prefetch_invalidated, 2u);
+  sim.run();
 }
 
 /// The acceptance world: a client far (100ms) from all four servers, the
