@@ -8,12 +8,9 @@
 // runner/reporter; each experiment pins Iterations(1) (runs are
 // deterministic) and reports its metrics through counters.
 
-#include <algorithm>
-#include <charconv>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/weak_set.hpp"
@@ -22,18 +19,15 @@
 #include "query/scan.hpp"
 #include "spec/repo_truth.hpp"
 #include "spec/specs.hpp"
-#include "util/shard.hpp"
 
 /// Drop-in replacement for BENCHMARK_MAIN() that understands
-/// --metrics-out=FILE and --workers=N: both flags are stripped before
-/// google-benchmark sees the argv (it rejects unknown flags). On exit the
-/// process-global metrics registry — where every component deposits its
-/// telemetry by default — is exported as JSON. Runs are deterministic in
-/// simulated time, so two invocations with the same seed — at *any* worker
-/// count — produce byte-identical files.
+/// --metrics-out=FILE: the flag is stripped before google-benchmark sees the
+/// argv (it rejects unknown flags). On exit the process-global metrics
+/// registry — where every component deposits its telemetry by default — is
+/// exported as JSON. Runs are deterministic in simulated time, so two
+/// invocations with the same seed produce byte-identical files.
 #define WEAKSET_BENCHMARK_MAIN()                                             \
   int main(int argc, char** argv) {                                          \
-    ::weakset::bench::extract_workers(argc, argv);                           \
     const std::optional<std::string> weakset_metrics_out =                   \
         ::weakset::obs::extract_metrics_out(argc, argv);                     \
     ::benchmark::Initialize(&argc, argv);                                    \
@@ -49,34 +43,6 @@
   int main(int, char**)
 
 namespace weakset::bench {
-
-/// Worker count requested via --workers=N. 0 (the default) keeps the classic
-/// single-threaded event loop; N >= 1 runs every World sharded per node with
-/// N worker threads (N=1 exercises the sharded engine without concurrency —
-/// useful as the determinism baseline).
-inline std::uint32_t& worker_flag() {
-  static std::uint32_t workers = 0;
-  return workers;
-}
-
-/// Strips a `--workers=N` argument from argv (if present) into worker_flag().
-inline void extract_workers(int& argc, char** argv) {
-  constexpr std::string_view kFlag = "--workers=";
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    if (arg.substr(0, kFlag.size()) == kFlag) {
-      const std::string_view value = arg.substr(kFlag.size());
-      std::uint32_t parsed = 0;
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-      worker_flag() = parsed;
-      continue;  // strip: downstream flag parsers must not see it
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  argv[argc] = nullptr;
-}
 
 struct WorldConfig {
   int servers = 4;
@@ -113,21 +79,9 @@ class World {
     // Direct-only routing keeps the configured latencies authoritative (no
     // surprise relaying through nearer nodes).
     topo.set_routing(Topology::Routing::kDirectOnly);
-    if (const std::uint32_t workers = worker_flag(); workers > 0) {
-      // Parallel mode (DESIGN.md decision 14): one shard per node, lookahead
-      // = the smallest configured link latency, global metrics fronted by
-      // per-shard children. Must happen before the RpcNetwork exists — it
-      // forks its per-shard RNG lanes at construction.
-      const auto nodes = static_cast<std::uint32_t>(topo.node_count());
-      sim.configure_shards(nodes, workers, std::min(config.near, config.mesh));
-      for (std::uint32_t n = 0; n < nodes; ++n) sim.assign_node_shard(n, n);
-      obs::global().enable_sharding(nodes + 1);  // + the serial shard
-    }
     net = std::make_unique<RpcNetwork>(sim, topo, Rng{config.seed});
     repo = std::make_unique<Repository>(*net);
     for (const NodeId node : servers) {
-      // Home each server's daemons (pull loops, checkpointers) on its shard.
-      ShardGuard guard{sim.sharded() ? sim.node_shard(node.raw()) : 0};
       repo->add_server(node, config.server_options);
     }
   }
@@ -164,10 +118,6 @@ class World {
   /// given mean interval until `until`. Mutations originate at servers[0].
   void spawn_churn(CollectionId id, Duration mean_interval, double remove_bias,
                    SimTime until, std::uint64_t seed) {
-    // Churn mutates global state (repo->create_object, the shared objects
-    // vector), so it is homed on the serial shard: its events run alone,
-    // between parallel windows. In classic mode serial_shard() is 0.
-    ShardGuard guard{sim.serial_shard()};
     sim.spawn(churn_process(*this, id, mean_interval, remove_bias, until,
                             seed));
   }

@@ -29,8 +29,7 @@
 // unbounded lets both collapse toward the RPC timeout.
 //
 // All quantities are simulated time and deterministic: same binary, same
-// seed, any --workers count — byte-identical metrics export (the CI gate
-// cmp's a double run and a workers=1 vs workers=4 pair).
+// seed — byte-identical metrics export (the CI gate cmp's a double run).
 //
 // --rebalance variant: sessions resolve placement through the directory
 // service (one DirectoryClient per gateway) and a least-loaded rebalancer
@@ -70,7 +69,7 @@ bool& rebalance_flag() {
 }
 
 /// Strips a bare `--rebalance` argument from argv (if present) into
-/// rebalance_flag() — like --workers/--metrics-out, it must be gone before
+/// rebalance_flag() — like --metrics-out, it must be gone before
 /// google-benchmark's parser rejects it as unknown.
 void extract_rebalance(int& argc, char** argv) {
   int out = 1;
@@ -98,7 +97,7 @@ constexpr PolicyRow kPolicies[] = {
 
 /// A deployment with gateway nodes: like bench_common::World, but sessions
 /// need several client-side origins (one per gateway) instead of one
-/// client node, and every node is shard-homed for --workers mode.
+/// client node.
 struct ScaleWorld {
   explicit ScaleWorld(const StoreServerOptions& sopts, std::uint64_t seed) {
     for (int i = 0; i < kServers; ++i) {
@@ -124,21 +123,11 @@ struct ScaleWorld {
       }
     }
     topo.set_routing(Topology::Routing::kDirectOnly);
-    if (const std::uint32_t workers = worker_flag(); workers > 0) {
-      const auto nodes = static_cast<std::uint32_t>(topo.node_count());
-      sim.configure_shards(nodes, workers, Duration::millis(5));
-      for (std::uint32_t n = 0; n < nodes; ++n) sim.assign_node_shard(n, n);
-      obs::global().enable_sharding(nodes + 1);  // + the serial shard
-      metrics.enable_sharding(nodes + 1);
-    }
     net = std::make_unique<RpcNetwork>(sim, topo, Rng{seed});
     repo = std::make_unique<Repository>(*net);
     StoreServerOptions options = sopts;
     options.metrics = &metrics;
-    for (const NodeId node : servers) {
-      ShardGuard guard{sim.sharded() ? sim.node_shard(node.raw()) : 0};
-      repo->add_server(node, options);
-    }
+    for (const NodeId node : servers) repo->add_server(node, options);
   }
   ~ScaleWorld() { repo->stop_all_daemons(); }
 
@@ -176,32 +165,21 @@ void BM_ScaleSweep(benchmark::State& state) {
     ScaleWorld world{sopts, /*seed=*/0xe18};
 
     // --rebalance control plane: migration engines on every server, the
-    // directory on server 0, one placement cache per gateway. Each piece is
-    // constructed under its node's shard guard so its daemons and handler
-    // state are homed correctly in --workers mode.
+    // directory on server 0, one placement cache per gateway.
     std::vector<std::unique_ptr<placement::MigrationEngine>> engines;
     std::unique_ptr<placement::DirectoryService> directory;
     std::vector<std::unique_ptr<placement::DirectoryClient>> dir_clients;
     std::unique_ptr<placement::Rebalancer> rebalancer;
     if (rebalance_flag()) {
       for (const NodeId node : world.servers) {
-        ShardGuard guard{
-            world.sim.sharded() ? world.sim.node_shard(node.raw()) : 0};
         engines.push_back(
             std::make_unique<placement::MigrationEngine>(*world.repo, node));
       }
-      {
-        ShardGuard guard{world.sim.sharded()
-                             ? world.sim.node_shard(world.servers[0].raw())
-                             : 0};
-        placement::DirectoryServiceOptions dopts;
-        dopts.metrics = &world.metrics;
-        directory = std::make_unique<placement::DirectoryService>(
-            *world.repo, world.servers[0], dopts);
-      }
+      placement::DirectoryServiceOptions dopts;
+      dopts.metrics = &world.metrics;
+      directory = std::make_unique<placement::DirectoryService>(
+          *world.repo, world.servers[0], dopts);
       for (const NodeId gw : world.gateways) {
-        ShardGuard guard{
-            world.sim.sharded() ? world.sim.node_shard(gw.raw()) : 0};
         placement::DirectoryClientOptions dco;
         dco.metrics = &world.metrics;
         dir_clients.push_back(std::make_unique<placement::DirectoryClient>(
@@ -241,9 +219,6 @@ void BM_ScaleSweep(benchmark::State& state) {
       for (const CollectionId id : engine.collections()) {
         rebalancer->manage(id);
       }
-      // The scan loop reads repo-global demand counters and its moves
-      // rehome fragments: serial shard, so it runs alone between windows.
-      ShardGuard guard{world.sim.serial_shard()};
       rebalancer->start();
     }
     engine.run_to_completion();
@@ -330,7 +305,6 @@ BENCHMARK(BM_ScaleSweep)
 // consumed before google-benchmark's parser rejects it as unrecognized.
 int main(int argc, char** argv) {
   ::weakset::bench::extract_rebalance(argc, argv);
-  ::weakset::bench::extract_workers(argc, argv);
   const std::optional<std::string> metrics_out =
       ::weakset::obs::extract_metrics_out(argc, argv);
   ::benchmark::Initialize(&argc, argv);

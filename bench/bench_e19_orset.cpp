@@ -21,8 +21,7 @@
 //                   and writes that needed a non-nearest host
 //
 // All quantities are simulated time and deterministic: same binary, same
-// seed, any --workers count — byte-identical metrics export (the CI gate
-// cmp's a double run and a workers=1 vs workers=4 pair).
+// seed — byte-identical metrics export (the CI gate cmp's a double run).
 
 #include <benchmark/benchmark.h>
 
@@ -63,22 +62,12 @@ struct OrSetWorld {
       }
     }
     topo.set_routing(Topology::Routing::kDirectOnly);
-    if (const std::uint32_t workers = worker_flag(); workers > 0) {
-      const auto nodes = static_cast<std::uint32_t>(topo.node_count());
-      sim.configure_shards(nodes, workers, Duration::millis(2));
-      for (std::uint32_t n = 0; n < nodes; ++n) sim.assign_node_shard(n, n);
-      obs::global().enable_sharding(nodes + 1);  // + the serial shard
-      metrics.enable_sharding(nodes + 1);
-    }
     net = std::make_unique<RpcNetwork>(sim, topo, Rng{seed});
     repo = std::make_unique<Repository>(*net);
     StoreServerOptions options;
     options.pull_interval = Duration::millis(20);
     options.metrics = &metrics;
-    for (const NodeId node : servers) {
-      ShardGuard guard{sim.sharded() ? sim.node_shard(node.raw()) : 0};
-      repo->add_server(node, options);
-    }
+    for (const NodeId node : servers) repo->add_server(node, options);
   }
   ~OrSetWorld() { repo->stop_all_daemons(); }
 
@@ -97,7 +86,6 @@ struct WriteCounts {
 };
 
 /// Open-loop writer: one membership mutation per tick until `until`.
-/// Creates objects (global repo state), so it runs on the serial shard.
 Task<void> write_process(OrSetWorld& world, CollectionId coll,
                          std::vector<ObjectRef>& members, SimTime until,
                          std::uint64_t seed, WriteCounts& counts) {
@@ -185,10 +173,6 @@ void BM_OrSetAvailability(benchmark::State& state) {
 
     // Partition episodes: the anchor alone on one side, the client and
     // every replica host on the other. Evenly spaced inside the window.
-    // partition()/heal() mutate global topology state, so the episode
-    // events are homed on the serial shard: they run alone, with every
-    // worker quiesced, never inside a parallel window.
-    ShardGuard episode_guard{world.sim.serial_shard()};
     SimTime last_heal = world.sim.now();
     for (int e = 0; e < episodes; ++e) {
       const Duration start = Duration::millis(400 + 700 * e);
@@ -219,11 +203,8 @@ void BM_OrSetAvailability(benchmark::State& state) {
 
     WriteCounts counts;
     const SimTime write_end = SimTime{} + Duration::millis(2200);
-    {
-      ShardGuard guard{world.sim.serial_shard()};
-      world.sim.spawn(write_process(world, coll, members, write_end,
-                                    /*seed=*/0x5eed, counts));
-    }
+    world.sim.spawn(write_process(world, coll, members, write_end,
+                                  /*seed=*/0x5eed, counts));
     world.sim.run_until(write_end);
     if (world.sim.now() > last_heal) last_heal = world.sim.now();
 

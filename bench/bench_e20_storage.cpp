@@ -16,8 +16,8 @@
 //   image_over_budget documents the ratio the row achieved.
 //
 // All quantities are simulated time / engine telemetry deltas and
-// deterministic: same binary, same seed, any --workers count — the CI gate
-// cmp's a double run and a workers=1 vs workers=4 pair byte-for-byte.
+// deterministic: same binary, same seed — the CI gate cmp's a double run
+// byte-for-byte.
 
 #include <benchmark/benchmark.h>
 
@@ -70,28 +70,13 @@ void BM_RecoveryVsSize(benchmark::State& state) {
     obs::MetricsRegistry& reg = obs::global();
 
     World world{config};
-    // Seeding appends to server0's durable WAL; arm its flush timers from
-    // the serial shard (as spawn_churn does) so cross-shard ordering is
-    // identical at every worker count.
-    CollectionId coll;
-    {
-      ShardGuard guard{world.sim.serial_shard()};
-      coll = world.make_collection(members, 1);
-    }
+    const CollectionId coll = world.make_collection(members, 1);
     // One checkpoint covers the whole seed; the WAL tail at crash time is
     // exactly the churn burst below — the same dirty count for every size.
-    // Home the task on the primary's shard so sharded runs order its events
-    // identically to classic mode.
-    {
-      ShardGuard guard{world.sim.sharded()
-                           ? world.sim.node_shard(world.servers[0].raw())
-                           : 0};
-      const bool checkpointed = run_task(
-          world.sim,
-          world.repo->server_at(world.servers[0])->checkpoint_now());
-      assert(checkpointed);
-      (void)checkpointed;
-    }
+    const bool checkpointed = run_task(
+        world.sim, world.repo->server_at(world.servers[0])->checkpoint_now());
+    assert(checkpointed);
+    (void)checkpointed;
 
     const SimTime churn_start = world.sim.now();
     world.spawn_churn(coll, kChurnInterval, 0.3, churn_start + kChurnWindow,
@@ -103,20 +88,15 @@ void BM_RecoveryVsSize(benchmark::State& state) {
     const std::uint64_t recovery_read_before =
         reg.counter("store.block.recovery_read_bytes");
 
-    // The crash and restart ride the event queue: injected between
-    // run_until windows they would race the loop's stop boundary, whose
-    // in-flight state differs between classic and sharded execution. They
-    // are homed on the serial shard (like churn) because a crash touches
-    // every node's state — it cancels RPC timeout timers of the callers
-    // too, which mid-window events may not do across shards.
+    // The crash and restart ride the event queue, ordered with the
+    // in-flight work of their instant, rather than being injected between
+    // run_until calls.
     const SimTime crash_at = world.sim.now();
-    world.sim.schedule_on(world.sim.serial_shard(), Duration::millis(1),
-                          [&world] {
-                            world.topo.crash(world.servers[0],
-                                             Topology::CrashKind::kAmnesia);
-                          });
-    world.sim.schedule_on(world.sim.serial_shard(), Duration::millis(20),
-                          [&world] { world.topo.restart(world.servers[0]); });
+    world.sim.schedule(Duration::millis(1), [&world] {
+      world.topo.crash(world.servers[0], Topology::CrashKind::kAmnesia);
+    });
+    world.sim.schedule(Duration::millis(20),
+                       [&world] { world.topo.restart(world.servers[0]); });
     world.sim.run_until(crash_at + Duration::millis(300));
 
     // The recovered primary serves the full durable membership again.
@@ -129,9 +109,8 @@ void BM_RecoveryVsSize(benchmark::State& state) {
         }(client, coll));
     assert(after.has_value());
     // Park the world at a fixed instant before it is destroyed: run_task
-    // stops the loop mid-instant, and how much surrounding work (fsync
-    // ticks) the other shards completed by then varies with the worker
-    // count. A closing run_until drains to a deterministic boundary.
+    // stops the loop mid-instant, so a closing run_until drains the
+    // surrounding work (fsync ticks) to a fixed boundary.
     world.sim.run_until(crash_at + Duration::millis(400));
 
     state.counters["recovery_ms"] =
@@ -188,21 +167,11 @@ void BM_CacheSweep(benchmark::State& state) {
         reg.counter("store.block.dirty_writebacks");
 
     World world{config};
-    CollectionId coll;
-    {
-      ShardGuard guard{world.sim.serial_shard()};  // see BM_RecoveryVsSize
-      coll = world.make_collection(members, 1);
-    }
-    {
-      ShardGuard guard{world.sim.sharded()
-                           ? world.sim.node_shard(world.servers[0].raw())
-                           : 0};
-      const bool checkpointed = run_task(
-          world.sim,
-          world.repo->server_at(world.servers[0])->checkpoint_now());
-      assert(checkpointed);
-      (void)checkpointed;
-    }
+    const CollectionId coll = world.make_collection(members, 1);
+    const bool checkpointed = run_task(
+        world.sim, world.repo->server_at(world.servers[0])->checkpoint_now());
+    assert(checkpointed);
+    (void)checkpointed;
 
     // Scattered mutations: every op faults its member's bucket through the
     // fixed-size cache, evicting (and writing back dirty pages) to stay

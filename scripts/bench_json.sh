@@ -8,10 +8,6 @@
 #   BENCH_hotpath.json    — wall-clock microbench of the event/RPC hot path
 #                           (ISSUE 6: bench/micro; gate on allocs_per_* only,
 #                           wall_ns_* is informational — see metrics_diff.py)
-#   BENCH_parallel.json   — sharded-execution worker sweep (ISSUE 7: gate on
-#                           sim_ms/ops/telemetry_mismatch at tolerance 0,
-#                           wall_ms/speedup informational — single-core CI
-#                           runners measure overhead, not speedup)
 #   BENCH_scale.json      — population-scale workload sweep, 1k -> 100k
 #                           sessions x admission policy (ISSUE 8: e18;
 #                           latency percentiles and goodput-vs-offered-load
@@ -27,8 +23,7 @@
 #
 # Usage: scripts/bench_json.sh [build-dir] [prefetch-out] [membership-out] \
 #                              [recovery-out] [migration-out] [hotpath-out] \
-#                              [parallel-out] [scale-out] [orset-out] \
-#                              [storage-out]
+#                              [scale-out] [orset-out] [storage-out]
 
 set -euo pipefail
 build_dir="${1:-build}"
@@ -37,10 +32,9 @@ membership_out="${3:-BENCH_membership.json}"
 recovery_out="${4:-BENCH_recovery.json}"
 migration_out="${5:-BENCH_migration.json}"
 hotpath_out="${6:-BENCH_hotpath.json}"
-parallel_out="${7:-BENCH_parallel.json}"
-scale_out="${8:-BENCH_scale.json}"
-orset_out="${9:-BENCH_orset.json}"
-storage_out="${10:-BENCH_storage.json}"
+scale_out="${7:-BENCH_scale.json}"
+orset_out="${8:-BENCH_orset.json}"
+storage_out="${9:-BENCH_storage.json}"
 
 if [[ ! -d "${build_dir}/bench" ]]; then
   echo "error: ${build_dir}/bench not found — configure and build first:" >&2
@@ -69,7 +63,6 @@ run_bench bench_e13_membership
 run_bench bench_e14_recovery
 run_bench bench_e15_migration
 run_bench micro/bench_micro_hotpath
-run_bench micro/bench_micro_parallel
 run_bench bench_e18_scale
 run_bench bench_e19_orset
 run_bench bench_e20_storage
@@ -118,14 +111,6 @@ echo "wrote ${migration_out}" >&2
   echo '}'
 } >"${hotpath_out}"
 echo "wrote ${hotpath_out}" >&2
-
-{
-  echo '{'
-  echo '  "bench_micro_parallel":'
-  cat "${tmp}/bench_micro_parallel.json"
-  echo '}'
-} >"${parallel_out}"
-echo "wrote ${parallel_out}" >&2
 
 {
   echo '{'

@@ -10,7 +10,7 @@ arrays are matched by index.
 Exit status: 0 when every compared metric is within tolerance, 1 when any
 regressed, 2 on usage/IO errors.
 
-Typical CI use — gate on the simulated-time counters only (wall-clock fields
+Typical use — compare the simulated-time counters only (wall-clock fields
 like real_time/cpu_time are nondeterministic) with a 5% budget:
 
     scripts/metrics_diff.py BENCH_membership.json fresh.json \
@@ -39,12 +39,11 @@ microbench gate fails on allocs_per_* and merely reports wall_ns_*:
 
 --require-equal pins paths to tolerance 0 regardless of --tolerance or any
 --metric-tolerance override — the shorthand for determinism gates, where a
-metric is either byte-for-byte reproduced or the gate fails. The parallel
-determinism gate pins the simulated-time counters this way:
+metric is either byte-for-byte reproduced or the gate fails. CI gates every
+simulated-time baseline this way, ignoring only the wall-clock fields:
 
-    scripts/metrics_diff.py BENCH_parallel.json fresh_parallel.json \\
-        --only 'sim_ms|ops|telemetry_mismatch' \\
-        --require-equal 'sim_ms|ops|telemetry_mismatch'
+    scripts/metrics_diff.py BENCH_recovery.json fresh_recovery.json \\
+        --ignore 'real_time|cpu_time|\\.context\\.' --require-equal '.*'
 """
 
 import argparse

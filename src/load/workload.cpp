@@ -7,7 +7,6 @@
 #include "core/repo_view.hpp"
 #include "sim/channel.hpp"
 #include "store/client.hpp"
-#include "util/shard.hpp"
 
 namespace weakset::load {
 namespace {
@@ -22,9 +21,8 @@ std::uint64_t session_seed(std::uint64_t seed, std::size_t index) {
 
 }  // namespace
 
-/// Open-loop bookkeeping shared between a session and its in-flight ops.
-/// Session and ops live on the same gateway shard, so plain fields suffice;
-/// the Gate resumes through the event queue like every sim primitive.
+/// Open-loop bookkeeping shared between a session and its in-flight ops. The
+/// Gate resumes through the event queue like every sim primitive.
 struct LoadEngine::SessionSync {
   explicit SessionSync(Simulator& sim) : done(sim) {}
   std::size_t outstanding = 0;
@@ -36,15 +34,12 @@ LoadEngine::LoadEngine(Repository& repo, std::vector<NodeId> gateways,
                        LoadOptions options)
     : repo_(repo),
       options_(options),
-      metrics_(obs::sink(options.metrics)) {
-  assert(!gateways.empty() && "load engine needs at least one gateway node");
+      metrics_(obs::sink(options.metrics)),
+      gateways_(std::move(gateways)) {
+  assert(!gateways_.empty() && "load engine needs at least one gateway node");
   assert((options_.directories.empty() ||
-          options_.directories.size() == gateways.size()) &&
+          options_.directories.size() == gateways_.size()) &&
          "directories must be empty or per-gateway");
-  gateways_.reserve(gateways.size());
-  for (const NodeId node : gateways) {
-    gateways_.push_back(std::make_unique<GatewayState>(node));
-  }
 }
 
 LoadEngine::~LoadEngine() = default;
@@ -98,60 +93,25 @@ void LoadEngine::build() {
   }
 }
 
-LoadStats LoadEngine::stats() const {
-  LoadStats folded;
-  for (const auto& gw : gateways_) {
-    folded.sessions_started += gw->stats.sessions_started;
-    folded.sessions_finished += gw->stats.sessions_finished;
-    folded.ops_offered += gw->stats.ops_offered;
-    folded.ops_ok += gw->stats.ops_ok;
-    folded.ops_overloaded += gw->stats.ops_overloaded;
-    folded.ops_failed += gw->stats.ops_failed;
-    folded.elements_yielded += gw->stats.elements_yielded;
-  }
-  return folded;
-}
-
 Task<void> LoadEngine::run() {
   assert(!collections_.empty() && "call build() before run()");
   Simulator& sim = repo_.sim();
   Rng arrivals{options_.seed};
   for (std::size_t index = 0; index < options_.sessions; ++index) {
-    {
-      // Home the session on its gateway's shard. Serial-shard events run
-      // alone (workers quiesced), so pushing the spawn onto another shard's
-      // queue here is race-free.
-      const GatewayState& gw = *gateways_[gateway_of(index)];
-      ShardGuard guard{sim.sharded() ? sim.node_shard(gw.node.raw()) : 0};
-      sim.spawn(session(index));
-    }
+    sim.spawn(session(index));
     co_await sim.delay(arrivals.exponential(options_.mean_interarrival));
   }
-  // Join: poll the per-gateway slabs until every session departed. Reading
-  // them from the serial shard is race-free for the same reason as above.
-  while (stats().sessions_finished < options_.sessions) {
+  // Join: poll until every session departed.
+  while (stats_.sessions_finished < options_.sessions) {
     co_await sim.delay(options_.poll_interval);
   }
 }
 
-void LoadEngine::run_to_completion() {
-  Simulator& sim = repo_.sim();
-  bool done = false;
-  {
-    ShardGuard guard{sim.serial_shard()};
-    sim.spawn([](LoadEngine* self, bool* flag) -> Task<void> {
-      co_await self->run();
-      *flag = true;
-    }(this, &done));
-  }
-  while (!done && sim.step()) {
-  }
-  assert(done && "load run did not complete (deadlocked workload?)");
-}
+void LoadEngine::run_to_completion() { run_task(repo_.sim(), run()); }
 
 Task<void> LoadEngine::session(std::size_t index) {
-  GatewayState& gw = *gateways_[gateway_of(index)];
-  ++gw.stats.sessions_started;
+  const NodeId gateway = gateways_[gateway_of(index)];
+  ++stats_.sessions_started;
   metrics_.add("load.sessions");
   Rng rng{session_seed(options_.seed, index)};
   const std::size_t tenant = index % options_.tenants;
@@ -173,43 +133,39 @@ Task<void> LoadEngine::session(std::size_t index) {
   }
 
   if (options_.mode == ArrivalMode::kClosedLoop) {
-    RepositoryClient client{repo_, gw.node, copts};
+    RepositoryClient client{repo_, gateway, copts};
     for (std::size_t i = 0; i < op_count; ++i) {
       co_await repo_.sim().delay(rng.exponential(options_.think_time));
-      co_await run_op(gw, client, tenant, rng);
+      co_await run_op(client, tenant, rng);
     }
   } else {
     // Open loop: fire ops on the timer regardless of completion (shared
-    // client + sync block keep everything on this gateway's shard), then
-    // wait for stragglers before departing.
-    auto client = std::make_shared<RepositoryClient>(repo_, gw.node, copts);
+    // client + sync block), then wait for stragglers before departing.
+    auto client = std::make_shared<RepositoryClient>(repo_, gateway, copts);
     auto sync = std::make_shared<SessionSync>(repo_.sim());
     for (std::size_t i = 0; i < op_count; ++i) {
       ++sync->outstanding;
-      repo_.sim().spawn(
-          run_op_detached(gw, client, tenant, rng.fork(), sync));
+      repo_.sim().spawn(run_op_detached(client, tenant, rng.fork(), sync));
       co_await repo_.sim().delay(rng.exponential(options_.op_interval));
     }
     sync->issued_all = true;
     if (sync->outstanding > 0) co_await sync->done.wait();
   }
-  ++gw.stats.sessions_finished;
+  ++stats_.sessions_finished;
   metrics_.add("load.sessions_finished");
 }
 
-Task<void> LoadEngine::run_op_detached(GatewayState& gw,
-                                       std::shared_ptr<RepositoryClient>
-                                           client,
-                                       std::size_t tenant, Rng rng,
-                                       std::shared_ptr<SessionSync> sync) {
-  co_await run_op(gw, *client, tenant, rng);
+Task<void> LoadEngine::run_op_detached(
+    std::shared_ptr<RepositoryClient> client, std::size_t tenant, Rng rng,
+    std::shared_ptr<SessionSync> sync) {
+  co_await run_op(*client, tenant, rng);
   --sync->outstanding;
   if (sync->outstanding == 0 && sync->issued_all) sync->done.open();
 }
 
-Task<void> LoadEngine::run_op(GatewayState& gw, RepositoryClient& client,
-                              std::size_t tenant, Rng& rng) {
-  ++gw.stats.ops_offered;
+Task<void> LoadEngine::run_op(RepositoryClient& client, std::size_t tenant,
+                              Rng& rng) {
+  ++stats_.ops_offered;
   metrics_.add("load.ops_offered");
   const std::size_t rank = zipf_->sample(rng);
   const std::size_t slot = tenant * options_.collections_per_tenant + rank;
@@ -237,7 +193,7 @@ Task<void> LoadEngine::run_op(GatewayState& gw, RepositoryClient& client,
     auto iterator =
         make_elements_iterator(view, options_.iterate_semantics, {});
     const DrainResult result = co_await drain(*iterator);
-    gw.stats.elements_yielded += result.count();
+    stats_.elements_yielded += result.count();
     metrics_.add("load.iterate_elements", result.count());
     ok = result.finished();
     if (!ok && result.failure()) failure = *result.failure();
@@ -245,13 +201,13 @@ Task<void> LoadEngine::run_op(GatewayState& gw, RepositoryClient& client,
 
   metrics_.record("load.op_latency_ns", repo_.sim().now() - start);
   if (ok) {
-    ++gw.stats.ops_ok;
+    ++stats_.ops_ok;
     metrics_.add("load.ops_ok");
   } else if (failure && failure->kind == FailureKind::kOverloaded) {
-    ++gw.stats.ops_overloaded;
+    ++stats_.ops_overloaded;
     metrics_.add("load.ops_overloaded");
   } else {
-    ++gw.stats.ops_failed;
+    ++stats_.ops_failed;
     metrics_.add("load.ops_failed");
   }
 }

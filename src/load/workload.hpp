@@ -27,12 +27,7 @@
 // Scale without O(nodes^2) topology: sessions are lightweight coroutines
 // multiplexed over a small set of client gateway nodes (a session's RPCs
 // originate at its gateway), so 100k sessions need 8 gateway nodes, not
-// 100k topology nodes. Sessions run on their gateway's shard (DESIGN.md
-// decision 14) and record into per-gateway stats slabs plus the obs
-// registry's per-shard children; the arrival/join process runs on the
-// serial shard, whose events execute alone, so its spawns and its
-// cross-gateway stat folds are race-free and the whole run is
-// byte-identical for any worker count.
+// 100k topology nodes.
 //
 // Outcome accounting distinguishes kOverloaded (the admission controller
 // shed the request — the explicit back-off signal) from other failures, so
@@ -107,18 +102,16 @@ struct LoadOptions {
   /// gateway's entry instead of the authoritative map — the directory data
   /// path (DESIGN.md decision 12) under population-scale load, with
   /// kWrongEpoch self-heal when the rebalancer moves a fragment mid-run.
-  /// One source per gateway keeps every cache mutation on that gateway's
-  /// shard in --workers mode.
   std::vector<DirectorySource*> directories;
   std::uint64_t seed = 1;
-  /// Join-poll granularity of run() (serial-shard heartbeat).
+  /// Join-poll granularity of run(): it returns at the first poll tick
+  /// after the last session departs.
   Duration poll_interval = Duration::millis(5);
   /// Telemetry sink. nullptr = the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Folded run accounting (deterministic: per-gateway slabs summed in
-/// gateway order).
+/// Run accounting.
 struct LoadStats {
   std::uint64_t sessions_started = 0;
   std::uint64_t sessions_finished = 0;
@@ -131,8 +124,8 @@ struct LoadStats {
 
 /// Drives one workload run against a Repository through gateway nodes.
 /// Usage: build() once (pre-run; creates collections, pools, tenant tags),
-/// then run_to_completion() — or spawn run() on the serial shard and drive
-/// the simulator yourself.
+/// then run_to_completion() — or spawn run() and drive the simulator
+/// yourself.
 class LoadEngine {
  public:
   LoadEngine(Repository& repo, std::vector<NodeId> gateways,
@@ -146,18 +139,13 @@ class LoadEngine {
   void build();
 
   /// The whole run as one coroutine: session arrivals (exponential), then a
-  /// join loop until every session departed. Must execute on the serial
-  /// shard in sharded mode — its events run alone between parallel windows,
-  /// which is what makes its cross-shard spawns and stat reads race-free.
+  /// join loop until every session departed.
   [[nodiscard]] Task<void> run();
 
-  /// Convenience driver: spawns run() on the serial shard and steps the
-  /// simulator until it completes (cf. run_task, which would home the task
-  /// on the caller's shard instead).
+  /// Convenience driver: run_task(sim, run()).
   void run_to_completion();
 
-  /// Folded accounting across gateways (stable fold order).
-  [[nodiscard]] LoadStats stats() const;
+  [[nodiscard]] const LoadStats& stats() const noexcept { return stats_; }
 
   /// All collections, grouped tenant-major: collections()[t * C + rank] is
   /// tenant t's rank-th most popular collection.
@@ -170,16 +158,8 @@ class LoadEngine {
   }
 
  private:
-  /// Per-gateway accounting slab: written only by sessions homed on that
-  /// gateway's shard, read by the serial-shard join loop (which runs alone).
-  struct GatewayState {
-    explicit GatewayState(NodeId node) : node(node) {}
-    NodeId node;
-    LoadStats stats;
-  };
-
   /// Open-loop bookkeeping shared between a session and its in-flight ops
-  /// (same shard; the session departs only once all ops resolved).
+  /// (the session departs only once all ops resolved).
   struct SessionSync;
 
   [[nodiscard]] std::size_t gateway_of(std::size_t session_index) const {
@@ -188,23 +168,22 @@ class LoadEngine {
 
   Task<void> session(std::size_t index);
   /// One operation: pick collection (Zipf) + op kind (mix), run it, classify
-  /// the outcome into `gw.stats` and the latency histogram.
-  Task<void> run_op(GatewayState& gw, RepositoryClient& client,
-                    std::size_t tenant, Rng& rng);
+  /// the outcome into stats_ and the latency histogram.
+  Task<void> run_op(RepositoryClient& client, std::size_t tenant, Rng& rng);
   /// Open-loop wrapper: run_op, then signal the session's sync block.
-  Task<void> run_op_detached(GatewayState& gw,
-                             std::shared_ptr<RepositoryClient> client,
+  Task<void> run_op_detached(std::shared_ptr<RepositoryClient> client,
                              std::size_t tenant, Rng rng,
                              std::shared_ptr<SessionSync> sync);
 
   Repository& repo_;
   LoadOptions options_;
   obs::MetricsRegistry& metrics_;
-  std::vector<std::unique_ptr<GatewayState>> gateways_;
+  std::vector<NodeId> gateways_;
+  LoadStats stats_;
   std::vector<CollectionId> collections_;
   /// Object pools, aligned with collections_.
   std::vector<std::vector<ObjectRef>> pools_;
-  /// Rank sampler within a tenant namespace (const after build: shard-safe).
+  /// Rank sampler within a tenant namespace (const after build).
   std::optional<ZipfianSampler> zipf_;
   double mix_insert_ = 0.0;  ///< normalised mix thresholds
   double mix_remove_ = 0.0;  ///< (cumulative; iterate is the remainder)

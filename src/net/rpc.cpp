@@ -8,12 +8,6 @@ MethodId RpcNetwork::intern(std::string_view method) {
   if (const auto it = method_index_.find(method); it != method_index_.end()) {
     return MethodId{it->second};
   }
-  // The lookup above is safe from any shard; inserting is not. Every method
-  // with a registered handler is interned at registration time (before the
-  // run), so hitting this path mid-window means calling a method nobody
-  // serves — made loud here instead of racing on the intern table.
-  assert(!sim_.in_parallel_window() &&
-         "new RPC method names must be interned before parallel execution");
   const auto index = static_cast<std::uint32_t>(methods_.size());
   MethodInfo info;
   info.name = std::string{method};
@@ -50,17 +44,16 @@ const RpcNetwork::Handler* RpcNetwork::find_handler(NodeId node,
 }
 
 std::optional<Duration> RpcNetwork::base_latency(NodeId from, NodeId to) {
-  RouteCache& cache = route_caches_[lane()];
-  if (cache.version != topology_.version()) {
-    cache.version = topology_.version();
-    cache.nodes = topology_.node_count();
+  if (route_version_ != topology_.version()) {
+    route_version_ = topology_.version();
+    route_nodes_ = topology_.node_count();
     // assign() reuses the vector's capacity once the node count stabilises.
-    cache.latency.assign(cache.nodes * cache.nodes, kRouteUnknown);
+    route_latency_.assign(route_nodes_ * route_nodes_, kRouteUnknown);
   }
   const auto src = static_cast<std::size_t>(from.raw());
   const auto dst = static_cast<std::size_t>(to.raw());
-  assert(src < cache.nodes && dst < cache.nodes);
-  std::int64_t& slot = cache.latency[src * cache.nodes + dst];
+  assert(src < route_nodes_ && dst < route_nodes_);
+  std::int64_t& slot = route_latency_[src * route_nodes_ + dst];
   if (slot == kRouteUnknown) {
     const auto base = topology_.path_latency(from, to);
     slot = base ? base->count_nanos() : kRouteNoPath;
@@ -75,32 +68,14 @@ std::optional<Duration> RpcNetwork::delivery_latency(NodeId from, NodeId to) {
   }
   const auto base = base_latency(from, to);
   if (!base) return std::nullopt;
-  Rng& rng = sharded_ ? shard_rngs_[lane()] : rng_;
-  const double factor = 1.0 + options_.jitter * rng.uniform_double();
+  const double factor = 1.0 + options_.jitter * rng_.uniform_double();
   return Duration::nanos(static_cast<std::int64_t>(
       static_cast<double>(base->count_nanos()) * factor));
 }
 
-RpcStats RpcNetwork::stats() const noexcept {
-  RpcStats total;
-  for (const RpcStats& lane_stats : shard_stats_) {
-    total.calls += lane_stats.calls;
-    total.completed += lane_stats.completed;
-    total.failed += lane_stats.failed;
-    total.timeouts += lane_stats.timeouts;
-    total.messages_delivered += lane_stats.messages_delivered;
-    total.messages_dropped += lane_stats.messages_dropped;
-  }
-  return total;
-}
-
 Task<Result<Payload>> RpcNetwork::call(NodeId from, NodeId to, MethodId method,
                                        Payload request, Duration timeout) {
-  // The caller's home shard: the timeout timer, the failure-detection signal,
-  // and the reply all complete the OneShot here, so the cell is only ever
-  // touched — and the timer only ever cancelled — from this one shard.
-  const std::uint32_t home = sharded_ ? shardctx::current : 0;
-  ++shard_stats_[home].calls;
+  ++stats_.calls;
   metrics_.add("rpc.calls");
   const MethodInfo& info = this->info(method);  // deque: stable across awaits
   const SimTime call_started = sim_.now();
@@ -126,40 +101,36 @@ Task<Result<Payload>> RpcNetwork::call(NodeId from, NodeId to, MethodId method,
       });
     }
   } else {
-    // Deliver the request after the path latency, onto the *destination's*
-    // shard — the handler runs where the server node lives. Reachability is
+    // Deliver the request after the path latency. Reachability is
     // re-checked at delivery time: a partition or crash occurring while the
     // message is in flight loses the message.
-    sim_.schedule_on(
-        sim_.node_shard(to.raw()), *request_latency,
-        [this, from, to, method, reply, call_span, home,
-         req = std::move(request)]() mutable {
-          if (!topology_.is_up(to) || !route_alive(from, to)) {
-            ++shard_stats_[lane()].messages_dropped;
-            metrics_.add("rpc.messages_dropped");
-            return;  // lost; the caller's timeout will fire
-          }
-          ++shard_stats_[lane()].messages_delivered;
-          metrics_.add("rpc.messages_delivered");
-          sim_.spawn(
-              serve(from, to, method, std::move(req), reply, call_span, home));
-        });
+    sim_.schedule(*request_latency, [this, from, to, method, reply, call_span,
+                                     req = std::move(request)]() mutable {
+      if (!topology_.is_up(to) || !route_alive(from, to)) {
+        ++stats_.messages_dropped;
+        metrics_.add("rpc.messages_dropped");
+        return;  // lost; the caller's timeout will fire
+      }
+      ++stats_.messages_delivered;
+      metrics_.add("rpc.messages_delivered");
+      sim_.spawn(serve(from, to, method, std::move(req), reply, call_span));
+    });
   }
 
   Result<Payload> outcome = co_await reply.wait();
   timeout_timer.cancel();
   metrics_.record(info.latency_name, sim_.now() - call_started);
   if (outcome) {
-    ++shard_stats_[home].completed;
+    ++stats_.completed;
     metrics_.add("rpc.completed");
     metrics_.add(info.ok_name);
     metrics_.end_span(call_span, sim_.now(), "ok");
   } else {
-    ++shard_stats_[home].failed;
+    ++stats_.failed;
     metrics_.add("rpc.failed");
     metrics_.add(info.failed_name);
     if (outcome.error().kind == FailureKind::kTimeout) {
-      ++shard_stats_[home].timeouts;
+      ++stats_.timeouts;
       metrics_.add("rpc.timeouts");
       metrics_.add(info.timeouts_name);
       metrics_.end_span(call_span, sim_.now(), "timeout");
@@ -173,7 +144,7 @@ Task<Result<Payload>> RpcNetwork::call(NodeId from, NodeId to, MethodId method,
 Task<void> RpcNetwork::serve(NodeId from, NodeId to, MethodId method,
                              Payload request,
                              OneShot<Result<Payload>> reply_to,
-                             std::uint64_t call_span, std::uint32_t home) {
+                             std::uint64_t call_span) {
   const MethodInfo& info = this->info(method);  // deque: stable across awaits
   const std::uint64_t serve_span = metrics_.begin_span(
       info.serve_name, topology_.name(from), sim_.now(), call_span);
@@ -190,26 +161,23 @@ Task<void> RpcNetwork::serve(NodeId from, NodeId to, MethodId method,
   // only learns via its timeout, since nothing can cross the partition.
   const auto reply_latency = delivery_latency(to, from);
   if (!reply_latency) {
-    ++shard_stats_[lane()].messages_dropped;
+    ++stats_.messages_dropped;
     metrics_.add("rpc.messages_dropped");
     metrics_.end_span(serve_span, sim_.now(), "dropped");
     co_return;
   }
   metrics_.end_span(serve_span, sim_.now(), result ? "ok" : "failed");
-  // The reply is delivered on the caller's home shard, where the OneShot's
-  // waiter and timeout live.
-  sim_.schedule_on(
-      home, *reply_latency,
-      [this, from, to, reply_to, res = std::move(result)]() mutable {
-        if (!topology_.is_up(from) || !route_alive(to, from)) {
-          ++shard_stats_[lane()].messages_dropped;
-          metrics_.add("rpc.messages_dropped");
-          return;
-        }
-        ++shard_stats_[lane()].messages_delivered;
-        metrics_.add("rpc.messages_delivered");
-        reply_to.try_set(std::move(res));
-      });
+  sim_.schedule(*reply_latency, [this, from, to, reply_to,
+                                 res = std::move(result)]() mutable {
+    if (!topology_.is_up(from) || !route_alive(to, from)) {
+      ++stats_.messages_dropped;
+      metrics_.add("rpc.messages_dropped");
+      return;
+    }
+    ++stats_.messages_delivered;
+    metrics_.add("rpc.messages_delivered");
+    reply_to.try_set(std::move(res));
+  });
 }
 
 }  // namespace weakset

@@ -24,17 +24,6 @@
 // re-running Dijkstra per message. None of this changes simulated-time
 // behaviour: RNG draws, event ordering, and every metric/span name are
 // byte-identical to the string-keyed implementation.
-//
-// Sharded simulations (DESIGN.md decision 14): every mutable hot-path state
-// splits per shard — jitter RNG streams, route caches, and stats counters are
-// per-shard lanes indexed by shardctx::current, so parallel shard workers
-// never contend and every draw is a function of the schedule, not of the
-// worker count. A call's lifecycle is shard-affine: the timeout timer and the
-// reply delivery live on the *caller's home shard* (captured at call start),
-// the request delivery and the handler run on the callee's shard
-// (Simulator::node_shard), and the two sides only meet through the
-// simulator's lookahead barriers. In unsharded simulations everything below
-// collapses to the single lane 0 and behaves byte-identically to before.
 
 #include <cassert>
 #include <cstdint>
@@ -54,7 +43,6 @@
 #include "util/payload.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
-#include "util/shard.hpp"
 
 namespace weakset {
 
@@ -126,21 +114,7 @@ class RpcNetwork {
         topology_(topology),
         rng_(rng),
         options_(options),
-        metrics_(obs::sink(options.metrics)),
-        sharded_(sim.sharded()) {
-    // One lane per shard (incl. the serial shard) in sharded mode; one lane
-    // total otherwise. Per-shard RNG streams are forked up front so the
-    // draws a shard makes depend only on its own schedule.
-    const std::size_t lanes = sharded_ ? sim.shard_count() + 1 : 1;
-    route_caches_.resize(lanes);
-    shard_stats_.resize(lanes);
-    if (sharded_) {
-      shard_rngs_.reserve(lanes);
-      for (std::size_t i = 0; i < lanes; ++i) {
-        shard_rngs_.push_back(rng_.fork());
-      }
-    }
-  }
+        metrics_(obs::sink(options.metrics)) {}
   RpcNetwork(const RpcNetwork&) = delete;
   RpcNetwork& operator=(const RpcNetwork&) = delete;
 
@@ -210,9 +184,8 @@ class RpcNetwork {
                             timeout);
   }
 
-  /// Aggregate call/message counters, summed over the per-shard lanes.
-  /// Returned by value: the per-lane split is an implementation detail.
-  [[nodiscard]] RpcStats stats() const noexcept;
+  /// Call and message counters since construction.
+  [[nodiscard]] const RpcStats& stats() const noexcept { return stats_; }
   [[nodiscard]] Simulator& sim() noexcept { return sim_; }
   [[nodiscard]] Topology& topology() noexcept { return topology_; }
   [[nodiscard]] const RpcOptions& options() const noexcept { return options_; }
@@ -268,24 +241,16 @@ class RpcNetwork {
   }
 
   /// Server-side: runs the handler and sends the reply back. `call_span` is
-  /// the caller's span id; the serve span nests under it. `home` is the
-  /// caller's shard — the reply is scheduled there so the OneShot completes
-  /// on the same shard that armed the timeout.
+  /// the caller's span id; the serve span nests under it.
   Task<void> serve(NodeId from, NodeId to, MethodId method, Payload request,
-                   OneShot<Result<Payload>> reply_to, std::uint64_t call_span,
-                   std::uint32_t home);
-
-  /// The per-shard lane index for mutable hot-path state (0 when unsharded).
-  [[nodiscard]] std::size_t lane() const noexcept {
-    return sharded_ ? shardctx::current : 0;
-  }
+                   OneShot<Result<Payload>> reply_to, std::uint64_t call_span);
 
   Simulator& sim_;
   Topology& topology_;
   Rng rng_;
   RpcOptions options_;
   obs::MetricsRegistry& metrics_;
-  bool sharded_;
+  RpcStats stats_;
 
   /// Intern table. A deque so MethodInfo addresses stay stable while new
   /// methods are interned mid-call (references are held across co_awaits).
@@ -297,21 +262,11 @@ class RpcNetwork {
 
   /// Route cache: latency nanos per (from, to), kRouteUnknown when not yet
   /// computed for the current topology version, kRouteNoPath when down.
-  /// One cache per lane — shards warm their caches independently (the
-  /// underlying Topology reads are const and safe to run concurrently).
   static constexpr std::int64_t kRouteUnknown = -1;
   static constexpr std::int64_t kRouteNoPath = -2;
-  struct RouteCache {
-    std::vector<std::int64_t> latency;
-    std::uint64_t version = ~std::uint64_t{0};
-    std::size_t nodes = 0;
-  };
-  std::vector<RouteCache> route_caches_;
-
-  /// Per-lane jitter streams (sharded mode only; unsharded draws from rng_).
-  std::vector<Rng> shard_rngs_;
-  /// Per-lane counters; stats() sums them.
-  std::vector<RpcStats> shard_stats_;
+  std::vector<std::int64_t> route_latency_;
+  std::uint64_t route_version_ = ~std::uint64_t{0};
+  std::size_t route_nodes_ = 0;
 };
 
 }  // namespace weakset

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <utility>
-
-#include "util/shard.hpp"
 
 namespace weakset::obs {
 
@@ -108,27 +105,7 @@ std::vector<std::pair<std::int64_t, std::uint64_t>> Histogram::nonzero_buckets()
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 
-void MetricsRegistry::enable_sharding(std::size_t shards) {
-  while (children_.size() < shards) {
-    auto child = std::make_unique<MetricsRegistry>();
-    child->span_id_offset_ =
-        static_cast<std::uint64_t>(children_.size() + 1) << kSpanShardShift;
-    child->span_cap_ = span_cap_;
-    children_.push_back(std::move(child));
-  }
-}
-
-MetricsRegistry& MetricsRegistry::shard_child() const noexcept {
-  const std::size_t shard = shardctx::current;
-  assert(shard < children_.size() && "recording from an unregistered shard");
-  return *children_[shard < children_.size() ? shard : children_.size() - 1];
-}
-
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
-  if (!children_.empty()) {
-    shard_child().add(name, delta);
-    return;
-  }
   const auto it = counters_.find(name);
   if (it != counters_.end()) {
     it->second += delta;
@@ -139,16 +116,10 @@ void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
 
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   const auto it = counters_.find(name);
-  std::uint64_t total = it == counters_.end() ? 0 : it->second;
-  for (const auto& child : children_) total += child->counter(name);
-  return total;
+  return it == counters_.end() ? 0 : it->second;
 }
 
 void MetricsRegistry::record_value(std::string_view name, std::int64_t value) {
-  if (!children_.empty()) {
-    shard_child().record_value(name, value);
-    return;
-  }
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string{name}, Histogram{}).first;
@@ -157,40 +128,14 @@ void MetricsRegistry::record_value(std::string_view name, std::int64_t value) {
 }
 
 const Histogram* MetricsRegistry::histogram(std::string_view name) const {
-  if (children_.empty()) {
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
-  }
-  // Sharded: fold self + children into a scratch entry (valid until the next
-  // histogram() or clear() call).
-  Histogram folded;
-  bool found = false;
-  const auto self = histograms_.find(name);
-  if (self != histograms_.end()) {
-    folded.merge(self->second);
-    found = true;
-  }
-  for (const auto& child : children_) {
-    const auto it = child->histograms_.find(name);
-    if (it != child->histograms_.end()) {
-      folded.merge(it->second);
-      found = true;
-    }
-  }
-  if (!found) return nullptr;
-  const auto pos =
-      merged_scratch_.insert_or_assign(std::string{name}, std::move(folded))
-          .first;
-  return &pos->second;
+  const auto it = histograms_.find(name);
+  return it == histograms_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t MetricsRegistry::begin_span(std::string_view op,
                                           std::string_view peer, SimTime at,
                                           std::uint64_t parent) {
-  if (!children_.empty()) {
-    return shard_child().begin_span(op, peer, at, parent);
-  }
-  const std::uint64_t id = span_id_offset_ + next_span_id_++;
+  const std::uint64_t id = next_span_id_++;
   ++spans_started_;
   if (!span_node_stash_.empty()) {
     // Steady state: reuse a parked map node — the contained Span's strings
@@ -221,15 +166,6 @@ std::uint64_t MetricsRegistry::begin_span(std::string_view op,
 
 void MetricsRegistry::end_span(std::uint64_t id, SimTime at,
                                std::string_view outcome) {
-  if (!children_.empty()) {
-    // Route to the child that minted the id (its index + 1 sits in the high
-    // bits); ids from before enable_sharding fall through to self.
-    const std::uint64_t child = id >> kSpanShardShift;
-    if (child >= 1 && child <= children_.size()) {
-      children_[child - 1]->end_span(id, at, outcome);
-      return;
-    }
-  }
   const auto it = open_spans_.find(id);
   if (it == open_spans_.end()) return;  // unknown or already closed
   ++spans_finished_;
@@ -243,24 +179,6 @@ void MetricsRegistry::end_span(std::uint64_t id, SimTime at,
     ++spans_dropped_;
   }
   span_node_stash_.push_back(std::move(node));
-}
-
-std::uint64_t MetricsRegistry::spans_started() const noexcept {
-  std::uint64_t total = spans_started_;
-  for (const auto& child : children_) total += child->spans_started_;
-  return total;
-}
-
-std::uint64_t MetricsRegistry::spans_finished() const noexcept {
-  std::uint64_t total = spans_finished_;
-  for (const auto& child : children_) total += child->spans_finished_;
-  return total;
-}
-
-std::uint64_t MetricsRegistry::spans_dropped() const noexcept {
-  std::uint64_t total = spans_dropped_;
-  for (const auto& child : children_) total += child->spans_dropped_;
-  return total;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
@@ -320,17 +238,6 @@ std::string json_escape(std::string_view s) {
 }  // namespace
 
 std::string MetricsRegistry::to_json() const {
-  if (!children_.empty()) {
-    // Sharded: fold self + children (in shard order) into a plain registry
-    // and export that. The shard an event records from is fixed by the
-    // schedule, so the fold — and the exported bytes — are identical for any
-    // worker count.
-    MetricsRegistry folded;
-    folded.span_cap_ = span_cap_;
-    folded.merge(*this);  // merge() reads only the non-child state
-    for (const auto& child : children_) folded.merge(*child);
-    return folded.to_json();
-  }
   // Built with sequential appends only: `"literal" + std::to_string(...)`
   // trips GCC 12's -Wrestrict false positive at -O2, and appends skip the
   // temporaries anyway.
@@ -421,14 +328,10 @@ void MetricsRegistry::clear() {
   spans_.clear();
   open_spans_.clear();
   span_node_stash_.clear();
-  merged_scratch_.clear();
   next_span_id_ = 1;
   spans_started_ = 0;
   spans_finished_ = 0;
   spans_dropped_ = 0;
-  // Children stay registered (and keep their span-id space) but drop their
-  // recordings, so a cleared sharded registry starts the next run fresh.
-  for (const auto& child : children_) child->clear();
 }
 
 MetricsRegistry& global() {

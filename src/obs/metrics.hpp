@@ -18,20 +18,10 @@
 // pass their own registry. Recording never consumes randomness and never
 // schedules simulator events, so instrumented and uninstrumented runs have
 // identical timing and interleaving.
-//
-// Sharded simulations (DESIGN.md decision 14): enable_sharding(n) puts a
-// per-shard child registry in front of this one — recordings route to the
-// child named by shardctx::current, so parallel shard workers never touch a
-// shared map. Accessors sum over children and to_json() folds them in shard
-// order, which keeps exports byte-identical for any worker count (the shard
-// an event records from is a property of the schedule, not of threading).
-// Span ids carry their child index in the high bits so cross-shard parent
-// links and end_span routing stay exact.
 
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -104,23 +94,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // -- sharding --------------------------------------------------------------
-
-  /// Puts `shards` child registries in front of this one: recordings made
-  /// while shardctx::current == s land in child s, and exports/accessors
-  /// fold self + children in shard order. Idempotent; a larger count grows
-  /// the child table (existing children keep their data and span-id space).
-  /// Must not be called while a parallel window is executing.
-  void enable_sharding(std::size_t shards);
-  [[nodiscard]] bool sharding_enabled() const noexcept {
-    return !children_.empty();
-  }
-
-  /// Span ids are `(child + 1) << kSpanShardShift | local` in sharded mode
-  /// (plain ascending locals otherwise), so end_span can route to the child
-  /// that opened the span.
-  static constexpr unsigned kSpanShardShift = 44;
-
   // -- counters --------------------------------------------------------------
 
   /// Adds `delta` to the named monotonic counter (creating it at 0).
@@ -141,8 +114,6 @@ class MetricsRegistry {
   void record_value(std::string_view name, std::int64_t value);
 
   /// The named histogram, or nullptr if nothing was recorded under `name`.
-  /// In sharded mode this is a folded snapshot of self + children, valid
-  /// until the next histogram() or clear() call.
   [[nodiscard]] const Histogram* histogram(std::string_view name) const;
 
   // -- spans -----------------------------------------------------------------
@@ -158,10 +129,16 @@ class MetricsRegistry {
   /// are retained for export; later ones only count into spans_dropped.
   void end_span(std::uint64_t id, SimTime at, std::string_view outcome);
 
-  [[nodiscard]] std::uint64_t spans_started() const noexcept;
-  [[nodiscard]] std::uint64_t spans_finished() const noexcept;
-  [[nodiscard]] std::uint64_t spans_dropped() const noexcept;
-  /// Spans retained by this registry itself (not its shard children).
+  [[nodiscard]] std::uint64_t spans_started() const noexcept {
+    return spans_started_;
+  }
+  [[nodiscard]] std::uint64_t spans_finished() const noexcept {
+    return spans_finished_;
+  }
+  [[nodiscard]] std::uint64_t spans_dropped() const noexcept {
+    return spans_dropped_;
+  }
+  /// The first span_cap() completed spans, in completion order.
   [[nodiscard]] const std::vector<Span>& retained_spans() const noexcept {
     return spans_;
   }
@@ -201,18 +178,6 @@ class MetricsRegistry {
   std::uint64_t spans_finished_ = 0;
   std::uint64_t spans_dropped_ = 0;
   std::size_t span_cap_ = kDefaultSpanCap;
-
-  /// The child registry recordings route to (children_[shardctx::current],
-  /// clamped). Only called when sharding_enabled().
-  [[nodiscard]] MetricsRegistry& shard_child() const noexcept;
-
-  /// Sharded front (enable_sharding): recordings route to
-  /// children_[shardctx::current]; child c mints span ids offset by
-  /// (c + 1) << kSpanShardShift. Empty in the classic single-thread mode.
-  std::vector<std::unique_ptr<MetricsRegistry>> children_;
-  std::uint64_t span_id_offset_ = 0;
-  /// Scratch for histogram() in sharded mode (folded on demand).
-  mutable std::map<std::string, Histogram, std::less<>> merged_scratch_;
 
   static constexpr std::size_t kDefaultSpanCap = 256;
 };

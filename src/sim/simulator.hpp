@@ -5,47 +5,20 @@
 // All distributed behaviour in this library (latency, partitions, crashes,
 // concurrent mutators) runs over this simulator, so every run is exactly
 // reproducible from its RNG seeds: events execute in (time, sequence) order.
-// See DESIGN.md section 3.3.
-//
-// Execution modes (DESIGN.md decision 14):
-//
-//  - Classic (default): one event queue, one thread. Interleavings are
-//    modelled, not raced; behaviour is bit-for-bit what it always was.
-//
-//  - Sharded (configure_shards): the queue is partitioned into node-affine
-//    shards — each node's events, timers, and coroutine frames live on one
-//    shard — plus one *serial* shard for events that touch global state
-//    (topology mutation, world-level churn). Shards execute windows of
-//    events in parallel on a worker pool under a conservative-lookahead
-//    barrier: with T the earliest pending event time and L the minimum
-//    cross-shard link latency, every shard may safely run its events with
-//    time < T + L, because no in-flight cross-shard message can arrive
-//    earlier than that. Cross-shard sends are parked in per-(src, dst)
-//    outboxes during a window and drained at the barrier in fixed
-//    (dst, src) order; serial-shard events run alone, with all workers
-//    quiesced, whenever the serial shard holds the earliest event.
-//
-//    Determinism: the window schedule depends only on queue contents — never
-//    on thread timing — and each shard carries its own sequence counter,
-//    clock, metrics registry (obs), and RNG stream (net), so a sharded run
-//    is byte-identical in simulated time and telemetry for ANY worker
-//    count, including --workers=1. Worker count only chooses which OS
-//    thread executes a shard (shard s is pinned to worker s % W, keeping
-//    thread_local pools consistent); it never changes the schedule.
+// There is one event queue and one thread — a computation is one sequence of
+// atomic transitions, as in the paper's model (section 2). Interleavings are
+// modelled, not raced. See DESIGN.md section 3.3.
 //
 // Hot-path memory discipline (DESIGN.md decision 13): event callbacks live
-// in per-shard slabs of recycled slots and are InlineFunc (small-buffer
-// optimised), and cancellation is a generation counter on the slot rather
-// than a shared_ptr<bool> token — so the steady-state event loop performs
-// zero allocations per event (tests/alloc_test.cpp holds this to account).
+// in a slab of recycled slots and are InlineFunc (small-buffer optimised),
+// and cancellation is a generation counter on the slot rather than a
+// shared_ptr<bool> token — so the steady-state event loop performs zero
+// allocations per event (tests/alloc_test.cpp holds this to account).
 
 #include <cassert>
-#include <condition_variable>
 #include <coroutine>
 #include <cstdint>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <variant>
 #include <vector>
@@ -53,99 +26,47 @@
 #include "sim/task.hpp"
 #include "util/inline_func.hpp"
 #include "util/pool.hpp"
-#include "util/shard.hpp"
 #include "util/time.hpp"
 
 namespace weakset {
 
-/// The event loop. Owns the virtual clock and (time, seq)-ordered queues of
-/// pending events — one queue in classic mode, one per shard (plus the
-/// serial shard) after configure_shards. Thread-safety contract: an event
-/// only touches state owned by its own shard; everything cross-shard moves
-/// through schedule_on and is exchanged at lookahead barriers.
+/// The event loop. Owns the virtual clock and the (time, seq)-ordered queue
+/// of pending events.
 class Simulator {
  public:
-  Simulator() : shards_(1) {}
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // -- sharded execution -----------------------------------------------------
+  /// Current virtual time.
+  [[nodiscard]] SimTime now() const noexcept { return clock_; }
 
-  /// Switches this simulator into sharded mode: `shards` node-affine shards
-  /// plus one serial shard (index shard_count()), executed by `workers`
-  /// threads (clamped to [1, shards]; workers - 1 threads are spawned, the
-  /// driver thread runs worker class 0 and all serial events). `lookahead`
-  /// is the conservative window: the minimum cross-shard message delay
-  /// (min link latency). Must be called before any event is scheduled, at
-  /// most once. The schedule and all telemetry are independent of `workers`.
-  void configure_shards(std::uint32_t shards, std::uint32_t workers,
-                        Duration lookahead);
-
-  [[nodiscard]] bool sharded() const noexcept { return sharded_; }
-  /// Number of regular (node-affine) shards.
-  [[nodiscard]] std::uint32_t shard_count() const noexcept { return regular_; }
-  /// Index of the serial shard (== shard_count() when sharded, else 0).
-  [[nodiscard]] std::uint32_t serial_shard() const noexcept {
-    return sharded_ ? regular_ : 0;
-  }
-  [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
-  /// True while shard workers are executing a window (used by asserts in
-  /// layers above: no interning, no cross-shard timer cancels mid-window).
-  [[nodiscard]] bool in_parallel_window() const noexcept { return in_window_; }
-
-  /// Maps a node (by its raw id) to a shard; unmapped nodes default to
-  /// shard 0. The map is a plain raw-id-indexed table so sim/ needs no
-  /// knowledge of net/'s NodeId type.
-  void assign_node_shard(std::uint64_t node_raw, std::uint32_t shard);
-  [[nodiscard]] std::uint32_t node_shard(std::uint64_t node_raw) const {
-    return node_raw < node_shards_.size() ? node_shards_[node_raw] : 0;
-  }
-
-  /// Current virtual time of the executing shard (per-shard clocks advance
-  /// independently between barriers; in classic mode there is only one).
-  [[nodiscard]] SimTime now() const noexcept {
-    return shards_[shardctx::current].clock;
-  }
-
-  /// Runs `fn` after `delay` of virtual time (>= 0) on the current shard.
-  /// Events scheduled for the same instant run in scheduling order.
+  /// Runs `fn` after `delay` of virtual time (>= 0). Events scheduled for
+  /// the same instant run in scheduling order.
   void schedule(Duration delay, InlineFunc fn);
 
-  /// Runs `fn` at absolute virtual time `at` (>= now()) on the current shard.
+  /// Runs `fn` at absolute virtual time `at` (>= now()).
   void schedule_at(SimTime at, InlineFunc fn);
-
-  /// Runs `fn` after `delay` on shard `shard`. Same-shard (or classic-mode)
-  /// calls are plain schedule(); cross-shard calls during a window park the
-  /// event in the sender's outbox and it is enqueued at the next barrier. A
-  /// message whose delay undercuts the lookahead (a zero-latency link, a
-  /// local call from a foreign shard) is delivered at the destination
-  /// shard's current clock instead of its own past — deterministically,
-  /// since windows are schedule-driven, never thread-timing-driven.
-  void schedule_on(std::uint32_t shard, Duration delay, InlineFunc fn);
 
   /// Handle to a pending timer; cancelling it makes the event a no-op that
   /// neither runs nor advances the clock (important for timeout timers that
-  /// lost their race against a reply). The token is a (shard, slot,
-  /// generation) triple: cancel() bumps the slot's generation so the queued
-  /// entry — and any stale copy of the token — no longer matches. Cancelling
-  /// after the timer fired (or after a second cancel) is a harmless no-op,
-  /// but the token must not outlive the Simulator itself. During a parallel
-  /// window a timer may only be cancelled from its own shard.
+  /// lost their race against a reply). The token is a (slot, generation)
+  /// pair: cancel() bumps the slot's generation so the queued entry — and
+  /// any stale copy of the token — no longer matches. Cancelling after the
+  /// timer fired (or after a second cancel) is a harmless no-op, but the
+  /// token must not outlive the Simulator itself.
   class TimerToken {
    public:
     TimerToken() = default;
     void cancel() const {
-      if (sim_ != nullptr) sim_->cancel_slot(shard_, slot_, gen_);
+      if (sim_ != nullptr) sim_->cancel_slot(slot_, gen_);
     }
 
    private:
     friend class Simulator;
-    TimerToken(Simulator* sim, std::uint32_t shard, std::uint32_t slot,
-               std::uint32_t gen)
-        : sim_(sim), shard_(shard), slot_(slot), gen_(gen) {}
+    TimerToken(Simulator* sim, std::uint32_t slot, std::uint32_t gen)
+        : sim_(sim), slot_(slot), gen_(gen) {}
     Simulator* sim_ = nullptr;
-    std::uint32_t shard_ = 0;
     std::uint32_t slot_ = 0;
     std::uint32_t gen_ = 0;
   };
@@ -153,36 +74,25 @@ class Simulator {
   /// Like schedule(), but returns a token that can cancel the event.
   TimerToken schedule_cancellable(Duration delay, InlineFunc fn);
 
-  /// Starts a detached coroutine process on the current shard (pin daemons
-  /// to a node's shard with a ShardGuard around the spawn). The process
-  /// begins executing at the current virtual time, after already-queued
-  /// events for this instant.
+  /// Starts a detached coroutine process. The process begins executing at
+  /// the current virtual time, after already-queued events for this instant.
   void spawn(Task<void> task);
 
-  /// Processes events until every queue is empty. Returns steps executed —
-  /// events in classic mode; windows/serial events in sharded mode.
+  /// Processes events until the queue is empty. Returns events executed.
   /// `max_events` guards against runaway simulations.
   std::size_t run(std::size_t max_events = kDefaultMaxEvents);
 
-  /// Processes all events with time <= deadline, then advances every clock
-  /// to `deadline`. Returns steps executed (see run()).
+  /// Processes all events with time <= deadline, then advances the clock to
+  /// `deadline`. Returns events executed.
   std::size_t run_until(SimTime deadline,
                         std::size_t max_events = kDefaultMaxEvents);
 
-  /// Classic mode: processes a single event. Sharded mode: runs one serial
-  /// event or one parallel window. Returns false if no events were pending.
+  /// Processes a single event. Returns false if no events were pending.
   bool step();
 
-  [[nodiscard]] bool idle() const noexcept {
-    for (const ShardState& shard : shards_) {
-      if (!shard.queue.empty()) return false;
-    }
-    return true;
-  }
+  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
-    std::uint64_t total = 0;
-    for (const ShardState& shard : shards_) total += shard.processed;
-    return total;
+    return processed_;
   }
 
   /// Awaitable: suspends the current coroutine for `d` of virtual time.
@@ -223,23 +133,6 @@ class Simulator {
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  /// A cross-shard send parked in the sender's outbox during a window.
-  struct Pending {
-    SimTime at;
-    InlineFunc fn;
-  };
-  /// One shard's slice of the simulation: its event heap, slot slab, clock,
-  /// and per-destination outboxes. Classic mode is exactly one ShardState.
-  struct ShardState {
-    std::vector<HeapEntry> queue;
-    std::vector<Slot> slots;
-    std::uint32_t free_head = kNoSlot;
-    SimTime clock = SimTime::zero();
-    std::uint64_t next_seq = 0;
-    std::uint64_t processed = 0;
-    /// outbox[dst]: sends parked for shard dst, drained at the barrier.
-    std::vector<std::vector<Pending>> outbox;
-  };
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   // Min-heap on (at, seq) implemented over a vector so entries stay movable.
@@ -247,54 +140,21 @@ class Simulator {
     return a.at > b.at || (a.at == b.at && a.seq > b.seq);
   }
 
-  std::uint32_t acquire_slot(ShardState& shard, InlineFunc fn);
-  void release_slot(ShardState& shard, std::uint32_t slot) noexcept;
-  void cancel_slot(std::uint32_t shard, std::uint32_t slot,
-                   std::uint32_t gen) noexcept;
-  void push_entry(ShardState& shard, SimTime at, std::uint32_t slot);
-  /// Pops exactly one heap entry. True: a live callback was moved into `fn`
-  /// (and its time into `at`). False: the entry was cancelled and was
-  /// silently reclaimed. Precondition: the shard's queue is non-empty.
-  bool pop_top(ShardState& shard, InlineFunc& fn, SimTime* at);
+  std::uint32_t acquire_slot(InlineFunc fn);
+  void release_slot(std::uint32_t slot) noexcept;
+  void cancel_slot(std::uint32_t slot, std::uint32_t gen) noexcept;
+  void push_entry(SimTime at, std::uint32_t slot);
+  /// Pops the top heap entry and, unless it was cancelled, runs it. Returns
+  /// false for a cancelled entry, which is reclaimed silently without
+  /// advancing the clock. Precondition: the queue is non-empty.
+  bool run_top();
 
-  [[nodiscard]] ShardState& current_shard() {
-    assert(shardctx::current < shards_.size());
-    return shards_[shardctx::current];
-  }
-  /// Earliest pending event time on `shard` (SimTime::max() when empty).
-  [[nodiscard]] static SimTime next_event_time(const ShardState& shard) {
-    return shard.queue.empty() ? SimTime::max() : shard.queue.front().at;
-  }
-
-  // Sharded-mode machinery (simulator.cpp).
-  bool step_classic();
-  bool step_sharded(SimTime cap);
-  void run_shard_class(std::uint32_t worker_class);
-  void run_window(SimTime horizon, bool inclusive);
-  void drain_outboxes();
-  void worker_loop(std::uint32_t worker_class);
-
-  std::vector<ShardState> shards_;  // [0, regular_) regular, [regular_] serial
-  std::vector<std::uint32_t> node_shards_;
-  bool sharded_ = false;
-  std::uint32_t regular_ = 1;
-  Duration lookahead_ = Duration::zero();
-
-  // Worker pool: classes 1..worker_count_-1 run on spawned threads, class 0
-  // and every serial event run on the driver thread. The epoch/remaining
-  // handshake under mu_ gives every window a happens-before edge from the
-  // driver's pre-window writes to the workers and back.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;
-  std::uint32_t remaining_ = 0;
-  std::uint32_t worker_count_ = 1;
-  SimTime window_horizon_ = SimTime::zero();
-  bool window_inclusive_ = false;
-  bool in_window_ = false;
-  bool shutdown_ = false;
+  std::vector<HeapEntry> queue_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
+  SimTime clock_ = SimTime::zero();
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t processed_ = 0;
 };
 
 namespace detail {

@@ -32,9 +32,8 @@
 // Determinism: queues are keyed in a std::map (ordered tenants), the
 // round-robin cursor is plain state, and waiters resume through the
 // simulator's event queue (cf. sim/channel.hpp) — same-seed runs admit and
-// shed identically for any worker count. Everything is per-server, touched
-// only from that server's RPC handlers, so it is shard-safe by node
-// affinity (DESIGN.md decision 14).
+// shed identically. Everything is per-server, touched only from that
+// server's RPC handlers.
 
 #include <cassert>
 #include <coroutine>

@@ -12,14 +12,8 @@
 // at process exit, which is the right trade for bounded-lifetime simulation
 // processes.
 //
-// Threading (DESIGN.md decision 14): each pool's state is thread_local, so
-// the parallel engine's shard workers never contend or race on free lists. A
-// block may be allocated on one thread and freed on another (a cross-shard
-// message's payload, say); it simply joins the freeing thread's free list —
-// arena memory is never returned, so ownership of a block is just a pointer
-// in somebody's list. Each per-thread state is registered with
-// detail::keep_reachable so leak checkers still classify pool memory as
-// still-reachable after a worker thread (and its thread_local pointer) exits.
+// The simulator is single-threaded, so each pool is one process-wide free
+// list with no locking.
 //
 // VectorPool<T> recycles whole std::vector<T> objects (capacity and all) for
 // the store's reply buffers — member lists and op batches that are built on
@@ -31,12 +25,6 @@
 #include "util/arena.hpp"
 
 namespace weakset {
-
-namespace detail {
-/// Parks a heap pointer in a process-global registry so it stays reachable
-/// forever. Called once per thread per pool type (never on a hot path).
-void keep_reachable(void* pointer);
-}  // namespace detail
 
 class BlockPool {
  public:
@@ -70,7 +58,7 @@ class BlockPool {
     state.free_heads[cls] = block;
   }
 
-  /// Arena bytes handed out so far by this thread's pool (diagnostics/tests).
+  /// Arena bytes handed out so far by the pool (diagnostics/tests).
   static std::size_t arena_bytes() {
     return instance().arena.bytes_allocated();
   }
@@ -88,17 +76,10 @@ class BlockPool {
   }
 
   static State& instance() {
-    // One State per thread, truly leaked (never destroyed): pooled blocks can
-    // be freed from other static-duration objects' destructors, which must
-    // not race the pool's own teardown, and blocks freed cross-thread must
-    // not dangle when the allocating thread exits. keep_reachable parks the
-    // pointer so leak checkers classify the memory as still-reachable even
-    // after the thread_local pointer itself is gone.
-    static thread_local State* state = [] {
-      auto* fresh = new State;
-      detail::keep_reachable(fresh);
-      return fresh;
-    }();
+    // Leaked on purpose (never destroyed): pooled blocks can be freed from
+    // other static-duration objects' destructors, which must not race the
+    // pool's own teardown.
+    static State* const state = new State;
     return *state;
   }
 };
@@ -151,14 +132,9 @@ class VectorPool {
  private:
   static constexpr std::size_t kMaxParked = 64;
   static std::vector<std::vector<T>>& freelist() {
-    // Per-thread and leaked like BlockPool::instance(): release() must stay
-    // callable from static-duration destructors in any order, and shard
-    // workers must never contend on the list.
-    static thread_local auto* parked = [] {
-      auto* fresh = new std::vector<std::vector<T>>;
-      detail::keep_reachable(fresh);
-      return fresh;
-    }();
+    // Leaked like BlockPool::instance(): release() must stay callable from
+    // static-duration destructors in any order.
+    static auto* const parked = new std::vector<std::vector<T>>;
     return *parked;
   }
 };

@@ -10,7 +10,6 @@
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "util/rng.hpp"
-#include "util/shard.hpp"
 
 namespace weakset {
 namespace {
@@ -490,187 +489,6 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalSchedules) {
     return stamps;
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-// -- sharded execution (DESIGN.md decision 14) ------------------------------
-//
-// Per-shard trace recorders: each shard appends only to its own vector (so
-// recording is race-free by construction), and traces are merged in shard
-// order afterwards — the same fold discipline the metrics registry uses.
-
-class ShardTrace {
- public:
-  explicit ShardTrace(std::size_t shards) : per_shard_(shards) {}
-
-  void note(Simulator& sim, const std::string& tag) {
-    per_shard_[shardctx::current].push_back(
-        "s" + std::to_string(shardctx::current) + "@" +
-        std::to_string(sim.now().count_nanos()) + ":" + tag);
-  }
-
-  [[nodiscard]] std::vector<std::string> merged() const {
-    std::vector<std::string> all;
-    for (const auto& shard : per_shard_) {
-      all.insert(all.end(), shard.begin(), shard.end());
-    }
-    return all;
-  }
-
- private:
-  std::vector<std::vector<std::string>> per_shard_;
-};
-
-/// Ping-pong across two shards plus a same-instant cross burst and a serial
-/// event; returns the merged trace. The trace must not depend on `workers`.
-std::vector<std::string> run_pingpong(std::uint32_t workers,
-                                      Duration lookahead, Duration hop) {
-  Simulator sim;
-  sim.configure_shards(2, workers, lookahead);
-  ShardTrace trace{4};
-
-  // Ping-pong: shard 0 -> shard 1 -> shard 0, ten hops.
-  std::function<void(int)> ping = [&](int left) {
-    trace.note(sim, "ping" + std::to_string(left));
-    if (left == 0) return;
-    const std::uint32_t other = shardctx::current == 0 ? 1 : 0;
-    sim.schedule_on(other, hop, [&ping, left] { ping(left - 1); });
-  };
-  {
-    ShardGuard guard{0};
-    sim.schedule(Duration::zero(), [&ping] { ping(10); });
-  }
-
-  // Same-instant cross burst: both shards send to each other at exactly the
-  // same timestamp. Barrier draining must order the arrivals identically at
-  // every worker count.
-  for (std::uint32_t s : {0u, 1u}) {
-    ShardGuard guard{s};
-    sim.schedule(hop, [&trace, &sim, s] {
-      trace.note(sim, "burst-send" + std::to_string(s));
-      sim.schedule_on(1 - s, Duration::zero(), [&trace, &sim, s] {
-        trace.note(sim, "burst-recv-from" + std::to_string(s));
-      });
-    });
-  }
-
-  // A serial-shard event in the middle of the run: it must run alone and in
-  // timestamp order relative to the shard events.
-  sim.schedule_on(sim.serial_shard(), hop + hop, [&trace, &sim] {
-    trace.note(sim, "serial");
-  });
-
-  // Timer cancelled from its own shard: must not fire.
-  {
-    ShardGuard guard{1};
-    const auto token =
-        sim.schedule_cancellable(hop, [&trace, &sim] {
-          trace.note(sim, "cancelled-timer-fired");
-        });
-    sim.schedule(Duration::zero(), [token] { token.cancel(); });
-  }
-
-  sim.run();
-  return trace.merged();
-}
-
-TEST(ShardedSimulatorTest, TraceIdenticalAcrossWorkerCounts) {
-  const auto baseline =
-      run_pingpong(1, Duration::micros(50), Duration::micros(50));
-  EXPECT_FALSE(baseline.empty());
-  EXPECT_EQ(run_pingpong(2, Duration::micros(50), Duration::micros(50)),
-            baseline);
-}
-
-TEST(ShardedSimulatorTest, ZeroLookaheadStillMakesProgress) {
-  // L == 0 degrades to inclusive single-instant windows; zero-latency
-  // cross-shard hops must still advance (delta-cycle style), identically at
-  // any worker count.
-  const auto baseline = run_pingpong(1, Duration::zero(), Duration::zero());
-  EXPECT_FALSE(baseline.empty());
-  EXPECT_EQ(run_pingpong(2, Duration::zero(), Duration::zero()), baseline);
-}
-
-TEST(ShardedSimulatorTest, ZeroLatencyHopsUnderPositiveLookahead) {
-  const auto baseline =
-      run_pingpong(1, Duration::micros(50), Duration::zero());
-  EXPECT_EQ(run_pingpong(2, Duration::micros(50), Duration::zero()),
-            baseline);
-}
-
-TEST(ShardedSimulatorTest, SpawnedCoroutineStaysOnItsShard) {
-  Simulator sim;
-  sim.configure_shards(2, 2, Duration::micros(10));
-  std::vector<std::uint32_t> seen_raw(4, 99);
-  auto probe = [](Simulator& sim, std::uint32_t* slot) -> Task<void> {
-    co_await sim.delay(Duration::micros(30));
-    *slot = shardctx::current;
-    co_await sim.delay(Duration::micros(30));
-    *slot = shardctx::current == *slot ? *slot : 98;
-  };
-  {
-    ShardGuard guard{1};
-    sim.spawn(probe(sim, &seen_raw[1]));
-  }
-  {
-    ShardGuard guard{0};
-    sim.spawn(probe(sim, &seen_raw[0]));
-  }
-  sim.run();
-  EXPECT_EQ(seen_raw[0], 0u);
-  EXPECT_EQ(seen_raw[1], 1u);
-}
-
-TEST(ShardedSimulatorTest, RunUntilAdvancesAllShardClocks) {
-  Simulator sim;
-  sim.configure_shards(2, 2, Duration::micros(10));
-  {
-    ShardGuard guard{1};
-    sim.schedule(Duration::millis(1), [] {});
-  }
-  sim.run_until(SimTime::zero() + Duration::millis(5));
-  {
-    ShardGuard guard{0};
-    EXPECT_EQ(sim.now(), SimTime::zero() + Duration::millis(5));
-  }
-  {
-    ShardGuard guard{1};
-    EXPECT_EQ(sim.now(), SimTime::zero() + Duration::millis(5));
-  }
-}
-
-TEST(ShardedSimulatorTest, SubLookaheadSendsClampToDestinationClock) {
-  // A cross-shard message scheduled with a delay shorter than the lookahead
-  // may arrive "late" in wall terms of the destination clock; the engine
-  // clamps it to the destination's current time instead of travelling into
-  // its past. The clamp is schedule-driven, so the observed arrival times
-  // still match at every worker count.
-  auto run = [](std::uint32_t workers) {
-    Simulator sim;
-    sim.configure_shards(2, workers, Duration::millis(10));
-    ShardTrace trace{3};
-    {
-      ShardGuard guard{0};
-      // Keep shard 1 busy far ahead within one window, then send it a
-      // sub-lookahead message.
-      sim.schedule(Duration::millis(1), [&sim, &trace] {
-        sim.schedule_on(1, Duration::micros(1), [&sim, &trace] {
-          trace.note(sim, "late-arrival");
-        });
-      });
-    }
-    {
-      ShardGuard guard{1};
-      for (int i = 1; i <= 8; ++i) {
-        sim.schedule(Duration::millis(1) + Duration::micros(100 * i),
-                     [&sim, &trace] { trace.note(sim, "busy"); });
-      }
-    }
-    sim.run();
-    return trace.merged();
-  };
-  const auto baseline = run(1);
-  EXPECT_FALSE(baseline.empty());
-  EXPECT_EQ(run(2), baseline);
 }
 
 }  // namespace
