@@ -1,5 +1,7 @@
 #include "crdt/orset.hpp"
 
+#include <limits>
+
 namespace weakset::crdt {
 
 DotContext DotContext::from_parts(
@@ -19,13 +21,28 @@ DotContext DotContext::from_parts(
 void DotContext::add(Dot dot) {
   if (contains(dot)) return;
   const auto it = vv_.find(dot.origin());
-  if (dot.counter() == (it == vv_.end() ? 0 : it->second) + 1) {
-    // Extends the contiguous prefix directly; cloud dots may now follow.
-    vv_[dot.origin()] = dot.counter();
-    compact();
+  if (dot.counter() != (it == vv_.end() ? 0 : it->second) + 1) {
+    cloud_.insert(dot);
     return;
   }
-  cloud_.insert(dot);
+  // Extends the contiguous prefix. Every cloud dot already lies past a gap
+  // in its origin's prefix, so only this origin's cloud can fold now: its
+  // dots right after the new prefix, while the counters stay contiguous.
+  std::uint64_t& prefix = vv_[dot.origin()];
+  prefix = dot.counter();
+  auto next = cloud_.lower_bound(Dot{dot.origin(), prefix + 1});
+  while (next != cloud_.end() && *next == Dot{dot.origin(), prefix + 1}) {
+    ++prefix;
+    next = cloud_.erase(next);
+  }
+  // A full compact() also gives every origin that has cloud dots a vector
+  // entry (counter 0 if none of its dots is contiguous). Keep that key set:
+  // full-state replies ship and charge one entry per vector key.
+  constexpr auto kLastCounter = std::numeric_limits<std::uint64_t>::max();
+  for (auto first = cloud_.begin(); first != cloud_.end();
+       first = cloud_.upper_bound(Dot{first->origin(), kLastCounter})) {
+    vv_.try_emplace(first->origin(), 0);
+  }
 }
 
 void DotContext::merge(const DotContext& other) {

@@ -11,10 +11,18 @@
 //   - immutability          (Figures 1 and 3:   s_i = s_j)
 //   - grow-only             (Figure 5:          s_i ⊆ s_j)
 //   - membership at a state (Figure 6's guarantee: e ∈ s_i for some i)
+// Window queries binary-search the time-sorted events, and membership walks
+// only the element's own events (each event links to the element's previous
+// one), so a check costs what its window and that element's recent events
+// hold, not the length of the whole history.
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "store/collection.hpp"
@@ -34,8 +42,15 @@ class TimelineEvent {
   [[nodiscard]] ObjectRef ref() const noexcept { return ref_; }
 
  private:
+  friend class MembershipTimeline;
+  static constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
+
   SimTime at_;
   CollectionOp::Kind kind_;
+  /// Timeline index of the same element's previous event (kNoEvent: none),
+  /// set by MembershipTimeline. It fills the padding after kind_, so the
+  /// per-element chain adds no memory per event.
+  std::uint32_t previous_ = kNoEvent;
   ObjectRef ref_;
 };
 
@@ -50,7 +65,12 @@ class MembershipTimeline {
   /// Appends an effective mutation. Times must be non-decreasing.
   void record(SimTime at, CollectionOp::Kind kind, ObjectRef ref) {
     assert(events_.empty() || events_.back().at() <= at);
-    events_.emplace_back(at, kind, ref);
+    assert(events_.size() < TimelineEvent::kNoEvent);
+    const auto index = static_cast<std::uint32_t>(events_.size());
+    TimelineEvent event{at, kind, ref};
+    const auto [latest, inserted] = latest_.try_emplace(ref, index);
+    if (!inserted) event.previous_ = std::exchange(latest->second, index);
+    events_.push_back(event);
   }
 
   [[nodiscard]] const std::vector<TimelineEvent>& events() const noexcept {
@@ -70,47 +90,47 @@ class MembershipTimeline {
   /// True iff `ref` is a member at some state σ_i with t0 <= time(σ_i) <= t1.
   /// This is Figure 6's guarantee: "any element yielded must actually be in
   /// the set, for some state of the set between the first-state and
-  /// last-state."
+  /// last-state." Decided from `ref`'s own events, walked back from its
+  /// latest one: an add inside (t0, t1] shows it; otherwise its last event
+  /// at or before t0 decides, and the initial value if it has none. The
+  /// cost is the number of `ref`'s events after t0.
   [[nodiscard]] bool present_in_window(ObjectRef ref, SimTime t0,
                                        SimTime t1) const {
-    if (value_at(t0).count(ref) > 0) return true;
-    for (const TimelineEvent& event : events_) {
-      if (event.at() > t1) break;
-      if (event.at() <= t0) continue;
-      if (event.ref() == ref && event.kind() == CollectionOp::Kind::kAdd) {
+    const auto latest = latest_.find(ref);
+    if (latest == latest_.end()) return initial_.count(ref) > 0;
+    for (std::uint32_t i = latest->second; i != TimelineEvent::kNoEvent;
+         i = events_[i].previous_) {
+      const TimelineEvent& event = events_[i];
+      if (event.at() <= t0) return event.kind() == CollectionOp::Kind::kAdd;
+      if (event.at() <= t1 && event.kind() == CollectionOp::Kind::kAdd) {
         return true;
       }
     }
-    return false;
+    return initial_.count(ref) > 0;
   }
 
   /// True iff no effective mutation occurs strictly inside (t0, t1] — the
   /// constraint of Figures 1 and 3 restricted to the run window (the
   /// "less stringent" per-run variant discussed in section 3.1).
   [[nodiscard]] bool unchanged_in_window(SimTime t0, SimTime t1) const {
-    return std::none_of(events_.begin(), events_.end(),
-                        [&](const TimelineEvent& event) {
-                          return event.at() > t0 && event.at() <= t1;
-                        });
+    const auto first = after(t0);
+    return first == events_.end() || first->at() > t1;
   }
 
   /// True iff only additions occur inside (t0, t1] — Figure 5's constraint
   /// (s_i ⊆ s_j) restricted to the run window.
   [[nodiscard]] bool grow_only_in_window(SimTime t0, SimTime t1) const {
-    return std::none_of(events_.begin(), events_.end(),
-                        [&](const TimelineEvent& event) {
-                          return event.at() > t0 && event.at() <= t1 &&
-                                 event.kind() == CollectionOp::Kind::kRemove;
-                        });
+    for (auto it = after(t0); it != events_.end() && it->at() <= t1; ++it) {
+      if (it->kind() == CollectionOp::Kind::kRemove) return false;
+    }
+    return true;
   }
 
   /// Counts mutations inside (t0, t1].
   [[nodiscard]] std::size_t mutations_in_window(SimTime t0, SimTime t1) const {
-    return static_cast<std::size_t>(
-        std::count_if(events_.begin(), events_.end(),
-                      [&](const TimelineEvent& event) {
-                        return event.at() > t0 && event.at() <= t1;
-                      }));
+    const auto first = after(t0);
+    const auto last = after(t1);
+    return last > first ? static_cast<std::size_t>(last - first) : 0;
   }
 
  private:
@@ -122,8 +142,18 @@ class MembershipTimeline {
     }
   }
 
+  /// The first event strictly after `t` (events_ is sorted by time).
+  [[nodiscard]] std::vector<TimelineEvent>::const_iterator after(
+      SimTime t) const {
+    return std::upper_bound(
+        events_.begin(), events_.end(), t,
+        [](SimTime at, const TimelineEvent& event) { return at < event.at(); });
+  }
+
   std::set<ObjectRef> initial_;
   std::vector<TimelineEvent> events_;
+  /// Per element, the index of its latest event: the head of its chain.
+  std::unordered_map<ObjectRef, std::uint32_t> latest_;
 };
 
 }  // namespace weakset::spec

@@ -15,6 +15,7 @@
 
 #include <cassert>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "spec/observation.hpp"
@@ -140,7 +141,8 @@ class IterationTrace {
 
 /// Builds an IterationTrace while an iterator runs. The iterator harness
 /// calls begin() at the first call, observe_pre() at each invocation's entry,
-/// and record() when the invocation completes.
+/// and record() when the invocation completes; the owner then takes the
+/// trace with finish(), once.
 class TraceRecorder {
  public:
   explicit TraceRecorder(const GroundTruth& truth) : truth_(truth) {}
@@ -186,13 +188,16 @@ class TraceRecorder {
     pre_reachable_of_first_.clear();
   }
 
-  /// The finished trace.
-  [[nodiscard]] IterationTrace finish() const {
+  /// The finished trace. Single use: the recorded first-state and
+  /// invocations move into the returned trace, so call it once, after the
+  /// last record(), and drop the recorder afterwards.
+  [[nodiscard]] IterationTrace finish() {
     assert(began_);
-    return IterationTrace{first_time_, first_, invocations_};
+    return IterationTrace{first_time_, std::move(first_),
+                          std::move(invocations_)};
   }
 
-  /// Ground truth at s_first (available after begin()).
+  /// Ground truth at s_first (available from begin() until finish()).
   [[nodiscard]] const SetObservation& first() const noexcept { return first_; }
 
  private:

@@ -1678,6 +1678,8 @@ StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
     }
   }
 
+  // A view into the disk, not a copy: WAL appends are suspended while the
+  // image is rebuilt, so the log does not change under the replay.
   const SimDisk::LogContents log = disk_->peek_log(kWalFile);
   if (log.torn) ++plan.torn_tails;
   // Replay each fragment's contiguous tail on top of its checkpoint; stop a

@@ -17,10 +17,8 @@ SimDisk::LogContents SimDisk::durable_contents(const LogFile& f) {
   LogContents out;
   out.start = f.start;
   out.torn = f.torn_at.has_value();
-  out.records.reserve(static_cast<std::size_t>(f.durable_upto - f.start));
-  for (std::uint64_t idx = f.start; idx < f.durable_upto; ++idx) {
-    out.records.push_back(f.records[static_cast<std::size_t>(idx - f.start)]);
-  }
+  out.records = std::span<const std::string>{f.records}.first(
+      static_cast<std::size_t>(f.durable_upto - f.start));
   return out;
 }
 
@@ -61,11 +59,10 @@ void SimDisk::truncate_log_prefix(const std::string& file,
 }
 
 Task<SimDisk::LogContents> SimDisk::read_log(const std::string& file) {
-  LogContents out = peek_log(file);
   std::uint64_t bytes = 0;
-  for (const std::string& rec : out.records) bytes += rec.size();
+  for (const std::string& rec : peek_log(file).records) bytes += rec.size();
   co_await sim_.delay(read_cost(bytes));
-  co_return out;
+  co_return peek_log(file);
 }
 
 SimDisk::LogContents SimDisk::peek_log(const std::string& file) const {

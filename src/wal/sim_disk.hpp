@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,13 +79,19 @@ class SimDisk {
   /// The durable frontier advances to at least min(upto, next).
   void truncate_log_prefix(const std::string& file, std::uint64_t upto);
 
+  /// A view of a log's durable prefix. `records` points into the disk and
+  /// stays valid until the log next changes (an append, a truncation or a
+  /// crash); copy what must outlive that.
   struct LogContents {
-    std::vector<std::string> records;  ///< durable records, oldest first
-    std::uint64_t start = 0;           ///< absolute index of records[0]
-    bool torn = false;                 ///< a torn tail follows these records
+    /// Durable records, oldest first.
+    std::span<const std::string> records;
+    std::uint64_t start = 0;  ///< absolute index of records[0]
+    bool torn = false;        ///< a torn tail follows these records
   };
 
-  /// Reads the durable contents of `file`, charging read cost.
+  /// Reads the durable contents of `file`, charging the read cost of the
+  /// durable bytes present at the call. The view returned is taken when the
+  /// read completes.
   Task<LogContents> read_log(const std::string& file);
   /// Same contents, free of charge (for invariants and crash-time capture).
   [[nodiscard]] LogContents peek_log(const std::string& file) const;

@@ -5,9 +5,13 @@
 #include "crdt/orset.hpp"
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.hpp"
 
 namespace weakset::crdt {
 namespace {
@@ -62,6 +66,110 @@ TEST(DotContextTest, MergeTakesMaxAndCompacts) {
   EXPECT_EQ(a.vector().at(1), 2u);
   EXPECT_EQ(a.vector().at(2), 2u);  // b's {2,1} unblocked a's parked {2,2}
   EXPECT_TRUE(a.cloud().empty());
+}
+
+/// The dot context with a full-cloud compaction after every in-order dot:
+/// the straightforward form of Bieniusa et al.'s compaction, kept here as
+/// the oracle for DotContext's per-origin fold.
+class FullPassContext {
+ public:
+  [[nodiscard]] bool contains(Dot dot) const {
+    const auto it = vv_.find(dot.origin());
+    if (it != vv_.end() && dot.counter() <= it->second) return true;
+    return cloud_.count(dot) > 0;
+  }
+
+  void add(Dot dot) {
+    if (contains(dot)) return;
+    const auto it = vv_.find(dot.origin());
+    if (dot.counter() == (it == vv_.end() ? 0 : it->second) + 1) {
+      vv_[dot.origin()] = dot.counter();
+      compact();
+      return;
+    }
+    cloud_.insert(dot);
+  }
+
+  void merge(const FullPassContext& other) {
+    for (const auto& [origin, counter] : other.vv_) {
+      auto& mine = vv_[origin];
+      if (counter > mine) mine = counter;
+    }
+    cloud_.insert(other.cloud_.begin(), other.cloud_.end());
+    compact();
+  }
+
+  [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& vector()
+      const noexcept {
+    return vv_;
+  }
+  [[nodiscard]] const std::set<Dot>& cloud() const noexcept { return cloud_; }
+
+ private:
+  void compact() {
+    for (auto it = cloud_.begin(); it != cloud_.end();) {
+      auto& prefix = vv_[it->origin()];  // counter-0 entry for every origin
+      if (it->counter() == prefix + 1) {
+        prefix = it->counter();
+        it = cloud_.erase(it);
+      } else if (it->counter() <= prefix) {
+        it = cloud_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  std::map<std::uint64_t, std::uint64_t> vv_;
+  std::set<Dot> cloud_;
+};
+
+/// One context under test and its oracle, fed the same dots.
+struct ContextPair {
+  DotContext actual;
+  FullPassContext oracle;
+
+  void add(Dot dot) {
+    actual.add(dot);
+    oracle.add(dot);
+  }
+  void merge(const ContextPair& other) {
+    actual.merge(other.actual);
+    oracle.merge(other.oracle);
+  }
+};
+
+TEST(DotContextTest, PerOriginFoldMatchesFullPassCompaction) {
+  constexpr std::uint64_t kOrigins = 4;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng{seed};
+    ContextPair a;
+    ContextPair b;
+    // Highest counter handed out per origin; a new dot lands anywhere up to
+    // three past it, so streams carry gaps, in-order dots and duplicates.
+    std::map<std::uint64_t, std::uint64_t> highest;
+    for (int step = 0; step < 200; ++step) {
+      if (rng.uniform(10) == 0) {
+        const bool into_a = rng.bernoulli(0.5);
+        (into_a ? a : b).merge(into_a ? b : a);
+      } else {
+        const std::uint64_t origin = 100 + rng.uniform(kOrigins);
+        std::uint64_t& top = highest[origin];
+        const std::uint64_t counter = 1 + rng.uniform(top + 3);
+        top = std::max(top, counter);
+        (rng.uniform(4) == 0 ? b : a).add(Dot{origin, counter});
+      }
+      // Vector (counter-0 entries included) and cloud both match: the
+      // vector's key set is shipped and charged per entry in full-state
+      // replies, so a missing zero entry would change simulated time.
+      for (const ContextPair* pair : {&a, &b}) {
+        ASSERT_EQ(pair->actual.vector(), pair->oracle.vector())
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(pair->actual.cloud(), pair->oracle.cloud())
+            << "seed " << seed << " step " << step;
+      }
+    }
+  }
 }
 
 TEST(OrSetTest, AddRemoveLocalSemantics) {

@@ -11,6 +11,7 @@
 #include "spec/specs.hpp"
 #include "spec/timeline.hpp"
 #include "spec/trace.hpp"
+#include "util/rng.hpp"
 
 namespace weakset::spec {
 namespace {
@@ -144,6 +145,74 @@ TEST(TimelineTest, WindowConstraints) {
   EXPECT_EQ(timeline.mutations_in_window(at_ms(0), at_ms(50)), 2u);
   // Boundary semantics: (t0, t1] — an event at exactly t0 is outside.
   EXPECT_TRUE(timeline.unchanged_in_window(at_ms(10), at_ms(29)));
+}
+
+// The window queries by their definitions: membership at t0 by replaying
+// the history from time zero, the rest by scanning every event.
+bool present_by_replay(const MembershipTimeline& timeline, ObjectRef e,
+                       SimTime t0, SimTime t1) {
+  if (timeline.value_at(t0).count(e) > 0) return true;
+  for (const TimelineEvent& event : timeline.events()) {
+    if (event.at() > t0 && event.at() <= t1 && event.ref() == e &&
+        event.kind() == CollectionOp::Kind::kAdd) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::size_t mutations_by_scan(const MembershipTimeline& timeline, SimTime t0,
+                              SimTime t1, bool removes_only) {
+  std::size_t count = 0;
+  for (const TimelineEvent& event : timeline.events()) {
+    const bool counted =
+        !removes_only || event.kind() == CollectionOp::Kind::kRemove;
+    if (event.at() > t0 && event.at() <= t1 && counted) ++count;
+  }
+  return count;
+}
+
+TEST(TimelineTest, IndexedQueriesMatchReplayAndScan) {
+  // Refs 0-5 are mutated; 6 and 7 appear only in some initial values; 8
+  // and 9 never occur at all.
+  constexpr std::uint64_t kMutated = 6;
+  constexpr std::uint64_t kQueried = 10;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng{seed};
+    MembershipTimeline timeline;
+    std::set<ObjectRef> initial;
+    for (std::uint64_t id = 0; id < 8; ++id) {
+      if (rng.bernoulli(0.4)) initial.insert(ref(id));
+    }
+    timeline.set_initial(initial);
+    // Events land on a few instants, several per instant; kinds are drawn
+    // blind, so removes of non-members and adds of members occur too.
+    int now_ms = 0;
+    const std::uint64_t events = rng.uniform(40);
+    for (std::uint64_t i = 0; i < events; ++i) {
+      if (rng.bernoulli(0.6)) now_ms += 1 + static_cast<int>(rng.uniform(3));
+      auto kind = CollectionOp::Kind::kAdd;
+      if (rng.bernoulli(0.5)) kind = CollectionOp::Kind::kRemove;
+      timeline.record(at_ms(now_ms), kind, ref(rng.uniform(kMutated)));
+    }
+    for (int window = 0; window < 40; ++window) {
+      // Windows start and end on event instants and between them, before
+      // the first and after the last, and are sometimes inverted.
+      const auto horizon = static_cast<std::uint64_t>(now_ms + 3);
+      const SimTime t0 = at_ms(static_cast<int>(rng.uniform(horizon)) - 1);
+      const SimTime t1 = at_ms(static_cast<int>(rng.uniform(horizon)) - 1);
+      const std::size_t mutations = mutations_by_scan(timeline, t0, t1, false);
+      EXPECT_EQ(timeline.mutations_in_window(t0, t1), mutations);
+      EXPECT_EQ(timeline.unchanged_in_window(t0, t1), mutations == 0);
+      EXPECT_EQ(timeline.grow_only_in_window(t0, t1),
+                mutations_by_scan(timeline, t0, t1, true) == 0);
+      for (std::uint64_t id = 0; id < kQueried; ++id) {
+        EXPECT_EQ(timeline.present_in_window(ref(id), t0, t1),
+                  present_by_replay(timeline, ref(id), t0, t1))
+            << "seed " << seed << " window " << window << " ref " << id;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
