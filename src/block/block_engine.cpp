@@ -8,6 +8,20 @@
 namespace weakset::block {
 namespace {
 
+/// This module's telemetry names, interned once per process.
+struct BlockMetrics {
+  obs::CounterId cache_hits{"store.block.cache_hits"};
+  obs::CounterId cache_misses{"store.block.cache_misses"};
+  obs::CounterId checkpoint_blocks_written{
+      "store.block.checkpoint_blocks_written"};
+  obs::CounterId compaction_moves{"store.block.compaction_moves"};
+  obs::CounterId dirty_writebacks{"store.block.dirty_writebacks"};
+  obs::CounterId evictions{"store.block.evictions"};
+  obs::CounterId recovery_read_bytes{"store.block.recovery_read_bytes"};
+  obs::HistogramId free_list_len{"store.block.free_list_len"};
+};
+const BlockMetrics kMetrics{};
+
 constexpr std::uint32_t kSuperMagic = 0x31534257;  // "WBS1"
 constexpr std::uint64_t kBucketSeed = 0x77654b53u;  // "SKew"
 
@@ -241,10 +255,10 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> BlockEngine::load_bucket(
 Page& BlockEngine::resident(std::uint64_t id, Coll& c, std::uint32_t bucket) {
   const PageKey key{id, bucket};
   if (Page* p = cache_.find(key)) {
-    metrics_.add("store.block.cache_hits");
+    metrics_.add(kMetrics.cache_hits);
     return *p;
   }
-  metrics_.add("store.block.cache_misses");
+  metrics_.add(kMetrics.cache_misses);
   // Peek-fault: free of simulated time. The RPC data path charges the read
   // by awaiting fault() before the synchronous op; crash-replay faults are
   // accumulated here and charged in one recovery read.
@@ -357,10 +371,10 @@ Task<void> BlockEngine::fault(std::uint64_t id, std::uint64_t object,
   const std::uint32_t b = bucket_of(c, object, home);
   const PageKey key{id, b};
   if (cache_.find(key) != nullptr) {
-    metrics_.add("store.block.cache_hits");
+    metrics_.add(kMetrics.cache_hits);
     co_return;
   }
-  metrics_.add("store.block.cache_misses");
+  metrics_.add(kMetrics.cache_misses);
   const Extent e = c.buckets[b];
   std::vector<std::pair<std::uint64_t, std::uint64_t>> members;
   if (!e.empty()) {
@@ -403,7 +417,7 @@ Task<void> BlockEngine::enforce_budget() {
     Page* victim = cache_.victim();
     if (victim == nullptr) break;  // everything unpinnable is pinned
     if (!victim->dirty) {
-      metrics_.add("store.block.evictions");
+      metrics_.add(kMetrics.evictions);
       cache_.erase(victim->key);
       continue;
     }
@@ -434,8 +448,8 @@ Task<void> BlockEngine::enforce_budget() {
     vc.buckets[key.bucket] = fresh;
     page->dirty = false;
     vc.dirty.erase(key.bucket);
-    metrics_.add("store.block.dirty_writebacks");
-    metrics_.add("store.block.evictions");
+    metrics_.add(kMetrics.dirty_writebacks);
+    metrics_.add(kMetrics.evictions);
     if (page->pins == 0) cache_.erase(key);
   }
 }
@@ -444,7 +458,7 @@ void BlockEngine::trim_clean() {
   while (cache_.over_budget()) {
     Page* victim = cache_.victim();
     if (victim == nullptr || victim->dirty) break;
-    metrics_.add("store.block.evictions");
+    metrics_.add(kMetrics.evictions);
     cache_.erase(victim->key);
   }
 }
@@ -507,8 +521,8 @@ Task<bool> BlockEngine::checkpoint(std::uint64_t id, const ProtoState& proto) {
 
   c.mgr.commit_publish();
   ++c.generation;
-  metrics_.add("store.block.checkpoint_blocks_written", blocks_written);
-  metrics_.record_value("store.block.free_list_len",
+  metrics_.add(kMetrics.checkpoint_blocks_written, blocks_written);
+  metrics_.record_value(kMetrics.free_list_len,
                         static_cast<std::int64_t>(c.mgr.free_blocks()));
   trim_clean();
   co_return true;
@@ -561,7 +575,7 @@ Task<std::uint32_t> BlockEngine::compact_round(std::uint64_t id) {
     c.mgr.retire_extent(old);
     c.buckets[bucket] = *fresh;
     ++moves;
-    metrics_.add("store.block.compaction_moves");
+    metrics_.add(kMetrics.compaction_moves);
   }
   co_return moves;
 }
@@ -641,7 +655,7 @@ std::optional<ProtoState> BlockEngine::reconstruct(std::uint64_t id) {
 
 Task<void> BlockEngine::charge_recovery_reads() {
   if (recovery_bytes_ > 0) {
-    metrics_.add("store.block.recovery_read_bytes", recovery_bytes_);
+    metrics_.add(kMetrics.recovery_read_bytes, recovery_bytes_);
     const Duration cost = disk_.read_cost_for(recovery_bytes_);
     recovery_bytes_ = 0;
     recovery_accounting_ = false;

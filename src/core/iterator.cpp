@@ -1,6 +1,7 @@
 #include "core/iterator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "core/fig1_iterator.hpp"
@@ -19,39 +20,96 @@ ElementsIterator::ElementsIterator(SetView& view, IteratorOptions options)
 
 ElementsIterator::~ElementsIterator() = default;
 
-const std::string& ElementsIterator::metric_prefix() {
-  if (metric_prefix_.empty()) {
-    metric_prefix_ = "iter.";
-    metric_prefix_ += to_string(semantics());
-    metric_prefix_ += '.';
+/// One figure's telemetry names, interned once per process.
+struct ElementsIterator::MetricIds {
+  explicit MetricIds(Semantics semantics) : MetricIds(prefix(semantics)) {}
+
+  obs::CounterId invocations;
+  obs::CounterId yields;
+  obs::CounterId finished;
+  obs::CounterId blocked;
+  obs::CounterId failed;
+  obs::HistogramId yield_latency_ns;
+  // Folded from IteratorStats when a run terminates.
+  obs::CounterId runs;
+  obs::CounterId fetch_attempts;
+  obs::CounterId fetch_failures;
+  obs::CounterId skipped_unreachable;
+  obs::CounterId prefetch_hits;
+  obs::CounterId prefetch_misses;
+  obs::CounterId prefetch_batches;
+  obs::CounterId prefetch_batched_objects;
+  obs::CounterId prefetch_invalidated;
+  obs::CounterId membership_reads;
+  obs::CounterId membership_full_fragments;
+  obs::CounterId membership_delta_fragments;
+
+ private:
+  /// "iter.<figure>."
+  static std::string prefix(Semantics semantics) {
+    std::string p = "iter.";
+    p += to_string(semantics);
+    p += '.';
+    return p;
   }
-  return metric_prefix_;
+
+  explicit MetricIds(const std::string& p)
+      : invocations(p + "invocations"),
+        yields(p + "yields"),
+        finished(p + "finished"),
+        blocked(p + "blocked"),
+        failed(p + "failed"),
+        yield_latency_ns(p + "yield_latency_ns"),
+        runs(p + "runs"),
+        fetch_attempts(p + "fetch_attempts"),
+        fetch_failures(p + "fetch_failures"),
+        skipped_unreachable(p + "skipped_unreachable"),
+        prefetch_hits(p + "prefetch_hits"),
+        prefetch_misses(p + "prefetch_misses"),
+        prefetch_batches(p + "prefetch_batches"),
+        prefetch_batched_objects(p + "prefetch_batched_objects"),
+        prefetch_invalidated(p + "prefetch_invalidated"),
+        membership_reads(p + "membership_reads"),
+        membership_full_fragments(p + "membership_full_fragments"),
+        membership_delta_fragments(p + "membership_delta_fragments") {}
+};
+
+const ElementsIterator::MetricIds& ElementsIterator::metric_ids() {
+  if (metric_ids_ == nullptr) {
+    // Indexed by Semantics, in declaration order.
+    static const std::array<MetricIds, 5> kByFigure{
+        MetricIds{Semantics::kFig1Immutable},
+        MetricIds{Semantics::kFig3ImmutableFailAware},
+        MetricIds{Semantics::kFig4Snapshot},
+        MetricIds{Semantics::kFig5GrowOnlyPessimistic},
+        MetricIds{Semantics::kFig6Optimistic}};
+    metric_ids_ = &kByFigure.at(static_cast<std::size_t>(semantics()));
+  }
+  return *metric_ids_;
 }
 
 void ElementsIterator::fold_stats_into_metrics() {
-  const std::string& p = metric_prefix_;
-  metrics_.add(p + "runs");
-  metrics_.add(p + "fetch_attempts", stats_.fetch_attempts);
-  metrics_.add(p + "fetch_failures", stats_.fetch_failures);
-  metrics_.add(p + "skipped_unreachable", stats_.skipped_unreachable);
-  metrics_.add(p + "prefetch_hits", stats_.prefetch_hits);
-  metrics_.add(p + "prefetch_misses", stats_.prefetch_misses);
-  metrics_.add(p + "prefetch_batches", stats_.prefetch_batches);
-  metrics_.add(p + "prefetch_batched_objects",
-               stats_.prefetch_batched_objects);
-  metrics_.add(p + "prefetch_invalidated", stats_.prefetch_invalidated);
-  metrics_.add(p + "membership_reads", stats_.membership_reads);
-  metrics_.add(p + "membership_full_fragments",
-               stats_.membership_full_fragments);
-  metrics_.add(p + "membership_delta_fragments",
+  const MetricIds& m = *metric_ids_;
+  metrics_.add(m.runs);
+  metrics_.add(m.fetch_attempts, stats_.fetch_attempts);
+  metrics_.add(m.fetch_failures, stats_.fetch_failures);
+  metrics_.add(m.skipped_unreachable, stats_.skipped_unreachable);
+  metrics_.add(m.prefetch_hits, stats_.prefetch_hits);
+  metrics_.add(m.prefetch_misses, stats_.prefetch_misses);
+  metrics_.add(m.prefetch_batches, stats_.prefetch_batches);
+  metrics_.add(m.prefetch_batched_objects, stats_.prefetch_batched_objects);
+  metrics_.add(m.prefetch_invalidated, stats_.prefetch_invalidated);
+  metrics_.add(m.membership_reads, stats_.membership_reads);
+  metrics_.add(m.membership_full_fragments, stats_.membership_full_fragments);
+  metrics_.add(m.membership_delta_fragments,
                stats_.membership_delta_fragments);
 }
 
 Task<Step> ElementsIterator::next() {
   assert(!done_ && "next() called after the iterator terminated");
   ++stats_.invocations;
-  const std::string& prefix = metric_prefix();
-  metrics_.add(prefix + "invocations");
+  const MetricIds& m = metric_ids();
+  metrics_.add(m.invocations);
   const SimTime invoked_at = view_.sim().now();
   spec::TraceRecorder* recorder = options_.recorder;
   if (recorder != nullptr) {
@@ -64,18 +122,18 @@ Task<Step> ElementsIterator::next() {
 
   // Yield latency is the paper's user-visible cost: how long one invocation
   // held the caller before suspending (or terminating).
-  metrics_.record(prefix + "yield_latency_ns", view_.sim().now() - invoked_at);
+  metrics_.record(m.yield_latency_ns, view_.sim().now() - invoked_at);
   if (result.is_yield()) {
     note_yield(result.ref());
-    metrics_.add(prefix + "yields");
+    metrics_.add(m.yields);
   } else {
     done_ = true;
     if (result.kind() == Step::Kind::kFinished) {
-      metrics_.add(prefix + "finished");
+      metrics_.add(m.finished);
     } else if (result.failure().kind == FailureKind::kExhausted) {
-      metrics_.add(prefix + "blocked");
+      metrics_.add(m.blocked);
     } else {
-      metrics_.add(prefix + "failed");
+      metrics_.add(m.failed);
     }
   }
   if (recorder != nullptr) {

@@ -197,16 +197,19 @@ class ElementsIterator {
     yielded_index_.insert(ref);
   }
 
-  /// "iter.<figure>." — resolved on the first next() call (the vtable is not
-  /// ready in the base constructor).
-  const std::string& metric_prefix();
+  /// The interned "iter.<figure>.*" metric ids of one figure.
+  struct MetricIds;
+
+  /// This iterator's figure's ids — resolved on the first next() call (the
+  /// vtable is not ready in the base constructor).
+  const MetricIds& metric_ids();
   /// Folds the run's IteratorStats into the registry (terminal step only).
   void fold_stats_into_metrics();
 
   SetView& view_;
   IteratorOptions options_;
   obs::MetricsRegistry& metrics_;
-  std::string metric_prefix_;
+  const MetricIds* metric_ids_ = nullptr;
   std::vector<ObjectRef> yielded_;
   std::unordered_set<ObjectRef> yielded_index_;
   bool started_ = false;

@@ -189,12 +189,14 @@ class LocalSetView final : public SetView, public spec::GroundTruth {
   // -- spec::GroundTruth -----------------------------------------------------
 
   [[nodiscard]] spec::SetObservation observe() const override {
-    std::set<ObjectRef> members{members_.begin(), members_.end()};
-    std::set<ObjectRef> reachable;
-    for (const ObjectRef ref : members_) {
-      if (is_reachable(ref)) reachable.insert(ref);
+    spec::RefSet members = spec::RefSet::from_unsorted(members_);
+    std::vector<ObjectRef> reachable;
+    reachable.reserve(members.size());
+    for (const ObjectRef ref : members) {
+      if (is_reachable(ref)) reachable.push_back(ref);
     }
-    return spec::SetObservation{std::move(members), std::move(reachable)};
+    return spec::SetObservation{
+        std::move(members), spec::RefSet::from_sorted(std::move(reachable))};
   }
 
   [[nodiscard]] bool reachable(ObjectRef ref) const override {

@@ -7,6 +7,17 @@
 #include "core/iterator.hpp"
 
 namespace weakset {
+namespace {
+
+/// The prefetcher's telemetry names, interned once per process.
+struct PrefetchMetrics {
+  obs::HistogramId window_occupancy{"iter.prefetch.window_occupancy"};
+  obs::CounterId batches{"iter.prefetch.batches"};
+  obs::CounterId batched_objects{"iter.prefetch.batched_objects"};
+};
+const PrefetchMetrics kMetrics{};
+
+}  // namespace
 
 Prefetcher::Prefetcher(SetView& view, std::size_t window, IteratorStats& stats,
                        obs::MetricsRegistry& metrics)
@@ -56,10 +67,10 @@ void Prefetcher::sync(const std::vector<ObjectRef>& candidates) {
   stats_.prefetch_batched_objects += refs.size();
   // Occupancy is sampled right after a refill: how full the pipeline runs in
   // steady state (a full window means fetches hide behind consumption).
-  metrics_.record_value("iter.prefetch.window_occupancy",
+  metrics_.record_value(kMetrics.window_occupancy,
                         static_cast<std::int64_t>(slots_.size()));
-  metrics_.add("iter.prefetch.batches");
-  metrics_.add("iter.prefetch.batched_objects", refs.size());
+  metrics_.add(kMetrics.batches);
+  metrics_.add(kMetrics.batched_objects, refs.size());
   view_.sim().spawn(batch_worker(&view_, std::move(refs), std::move(batch)));
 }
 

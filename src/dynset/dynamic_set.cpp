@@ -3,6 +3,24 @@
 #include <algorithm>
 
 namespace weakset {
+namespace {
+
+/// This module's telemetry names, interned once per process.
+struct DynSetMetrics {
+  obs::CounterId fetches_failed{"dynset.fetches_failed"};
+  obs::CounterId fetches_ok{"dynset.fetches_ok"};
+  obs::CounterId fetches_started{"dynset.fetches_started"};
+  obs::CounterId in_order_arrivals{"dynset.in_order_arrivals"};
+  obs::CounterId membership_read_failures{"dynset.membership_read_failures"};
+  obs::CounterId membership_reads{"dynset.membership_reads"};
+  obs::CounterId out_of_order_arrivals{"dynset.out_of_order_arrivals"};
+  obs::CounterId sessions{"dynset.sessions"};
+  obs::HistogramId arrival_order_distance{"dynset.arrival_order_distance"};
+  obs::HistogramId inflight{"dynset.inflight"};
+};
+const DynSetMetrics kMetrics{};
+
+}  // namespace
 
 std::unique_ptr<DynamicSet> DynamicSet::open(SetView& view,
                                              DynSetOptions options) {
@@ -21,12 +39,12 @@ void DynamicSet::close() {
   // Terminal stats fold: one session's counters land in the registry once.
   const DynSetStats& s = state_->stats;
   obs::MetricsRegistry& m = state_->metrics;
-  m.add("dynset.sessions");
-  m.add("dynset.fetches_started", s.fetches_started);
-  m.add("dynset.fetches_ok", s.fetches_ok);
-  m.add("dynset.fetches_failed", s.fetches_failed);
-  m.add("dynset.membership_reads", s.membership_reads);
-  m.add("dynset.membership_read_failures", s.membership_read_failures);
+  m.add(kMetrics.sessions);
+  m.add(kMetrics.fetches_started, s.fetches_started);
+  m.add(kMetrics.fetches_ok, s.fetches_ok);
+  m.add(kMetrics.fetches_failed, s.fetches_failed);
+  m.add(kMetrics.membership_reads, s.membership_reads);
+  m.add(kMetrics.membership_read_failures, s.membership_read_failures);
 }
 
 Task<Step> DynamicSet::iterate() {
@@ -107,7 +125,7 @@ void DynamicSet::pump(const std::shared_ptr<State>& state) {
   }
   // Occupancy after every pump: how full the prefetch pipeline actually
   // runs (depth-limited vs starved by the fetch queue).
-  state->metrics.record_value("dynset.inflight",
+  state->metrics.record_value(kMetrics.inflight,
                               static_cast<std::int64_t>(state->in_flight));
 }
 
@@ -126,11 +144,10 @@ Task<void> DynamicSet::fetch_one(std::shared_ptr<State> state, ObjectRef ref) {
       const std::uint64_t issued = seq->second;
       const std::uint64_t distance =
           issued > arrival ? issued - arrival : arrival - issued;
-      state->metrics.record_value(
-          "dynset.arrival_order_distance",
-          static_cast<std::int64_t>(distance));
-      state->metrics.add(distance == 0 ? "dynset.in_order_arrivals"
-                                       : "dynset.out_of_order_arrivals");
+      state->metrics.record_value(kMetrics.arrival_order_distance,
+                                  static_cast<std::int64_t>(distance));
+      state->metrics.add(distance == 0 ? kMetrics.in_order_arrivals
+                                       : kMetrics.out_of_order_arrivals);
       state->issue_seq.erase(seq);
     }
     state->arrivals.push(Step::yielded(ref, std::move(value).value()));

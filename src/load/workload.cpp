@@ -11,6 +11,19 @@
 namespace weakset::load {
 namespace {
 
+/// This module's telemetry names, interned once per process.
+struct LoadMetrics {
+  obs::CounterId iterate_elements{"load.iterate_elements"};
+  obs::CounterId ops_failed{"load.ops_failed"};
+  obs::CounterId ops_offered{"load.ops_offered"};
+  obs::CounterId ops_ok{"load.ops_ok"};
+  obs::CounterId ops_overloaded{"load.ops_overloaded"};
+  obs::CounterId sessions{"load.sessions"};
+  obs::CounterId sessions_finished{"load.sessions_finished"};
+  obs::HistogramId op_latency_ns{"load.op_latency_ns"};
+};
+const LoadMetrics kMetrics{};
+
 /// Per-session seed fork: splitmix-style mixing of the run seed and the
 /// session index, so each session's stream is independent of spawn order
 /// (same idiom as StoreServer's per-node disk lottery).
@@ -112,7 +125,7 @@ void LoadEngine::run_to_completion() { run_task(repo_.sim(), run()); }
 Task<void> LoadEngine::session(std::size_t index) {
   const NodeId gateway = gateways_[gateway_of(index)];
   ++stats_.sessions_started;
-  metrics_.add("load.sessions");
+  metrics_.add(kMetrics.sessions);
   Rng rng{session_seed(options_.seed, index)};
   const std::size_t tenant = index % options_.tenants;
 
@@ -152,7 +165,7 @@ Task<void> LoadEngine::session(std::size_t index) {
     if (sync->outstanding > 0) co_await sync->done.wait();
   }
   ++stats_.sessions_finished;
-  metrics_.add("load.sessions_finished");
+  metrics_.add(kMetrics.sessions_finished);
 }
 
 Task<void> LoadEngine::run_op_detached(
@@ -166,7 +179,7 @@ Task<void> LoadEngine::run_op_detached(
 Task<void> LoadEngine::run_op(RepositoryClient& client, std::size_t tenant,
                               Rng& rng) {
   ++stats_.ops_offered;
-  metrics_.add("load.ops_offered");
+  metrics_.add(kMetrics.ops_offered);
   const std::size_t rank = zipf_->sample(rng);
   const std::size_t slot = tenant * options_.collections_per_tenant + rank;
   const CollectionId coll = collections_[slot];
@@ -194,21 +207,21 @@ Task<void> LoadEngine::run_op(RepositoryClient& client, std::size_t tenant,
         make_elements_iterator(view, options_.iterate_semantics, {});
     const DrainResult result = co_await drain(*iterator);
     stats_.elements_yielded += result.count();
-    metrics_.add("load.iterate_elements", result.count());
+    metrics_.add(kMetrics.iterate_elements, result.count());
     ok = result.finished();
     if (!ok && result.failure()) failure = *result.failure();
   }
 
-  metrics_.record("load.op_latency_ns", repo_.sim().now() - start);
+  metrics_.record(kMetrics.op_latency_ns, repo_.sim().now() - start);
   if (ok) {
     ++stats_.ops_ok;
-    metrics_.add("load.ops_ok");
+    metrics_.add(kMetrics.ops_ok);
   } else if (failure && failure->kind == FailureKind::kOverloaded) {
     ++stats_.ops_overloaded;
-    metrics_.add("load.ops_overloaded");
+    metrics_.add(kMetrics.ops_overloaded);
   } else {
     ++stats_.ops_failed;
-    metrics_.add("load.ops_failed");
+    metrics_.add(kMetrics.ops_failed);
   }
 }
 

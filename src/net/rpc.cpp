@@ -3,21 +3,37 @@
 #include <utility>
 
 namespace weakset {
+namespace {
+
+/// The RPC layer's method-independent telemetry names, interned once per
+/// process.
+struct RpcMetrics {
+  obs::CounterId calls{"rpc.calls"};
+  obs::CounterId completed{"rpc.completed"};
+  obs::CounterId failed{"rpc.failed"};
+  obs::CounterId timeouts{"rpc.timeouts"};
+  obs::CounterId messages_delivered{"rpc.messages_delivered"};
+  obs::CounterId messages_dropped{"rpc.messages_dropped"};
+};
+const RpcMetrics kMetrics{};
+
+}  // namespace
+
+RpcNetwork::MethodInfo::MethodInfo(std::string_view method)
+    : name(method),
+      latency("rpc." + name + ".latency_ns"),
+      ok("rpc." + name + ".ok"),
+      failed("rpc." + name + ".failed"),
+      timeouts("rpc." + name + ".timeouts"),
+      serve_name(name + "#serve"),
+      not_found_detail("no handler for " + name) {}
 
 MethodId RpcNetwork::intern(std::string_view method) {
   if (const auto it = method_index_.find(method); it != method_index_.end()) {
     return MethodId{it->second};
   }
   const auto index = static_cast<std::uint32_t>(methods_.size());
-  MethodInfo info;
-  info.name = std::string{method};
-  info.latency_name = "rpc." + info.name + ".latency_ns";
-  info.ok_name = "rpc." + info.name + ".ok";
-  info.failed_name = "rpc." + info.name + ".failed";
-  info.timeouts_name = "rpc." + info.name + ".timeouts";
-  info.serve_name = info.name + "#serve";
-  info.not_found_detail = "no handler for " + info.name;
-  methods_.push_back(std::move(info));
+  methods_.emplace_back(method);
   method_index_.emplace(methods_.back().name, index);
   return MethodId{index};
 }
@@ -76,7 +92,7 @@ std::optional<Duration> RpcNetwork::delivery_latency(NodeId from, NodeId to) {
 Task<Result<Payload>> RpcNetwork::call(NodeId from, NodeId to, MethodId method,
                                        Payload request, Duration timeout) {
   ++stats_.calls;
-  metrics_.add("rpc.calls");
+  metrics_.add(kMetrics.calls);
   const MethodInfo& info = this->info(method);  // deque: stable across awaits
   const SimTime call_started = sim_.now();
   const std::uint64_t call_span =
@@ -108,31 +124,31 @@ Task<Result<Payload>> RpcNetwork::call(NodeId from, NodeId to, MethodId method,
                                      req = std::move(request)]() mutable {
       if (!topology_.is_up(to) || !route_alive(from, to)) {
         ++stats_.messages_dropped;
-        metrics_.add("rpc.messages_dropped");
+        metrics_.add(kMetrics.messages_dropped);
         return;  // lost; the caller's timeout will fire
       }
       ++stats_.messages_delivered;
-      metrics_.add("rpc.messages_delivered");
+      metrics_.add(kMetrics.messages_delivered);
       sim_.spawn(serve(from, to, method, std::move(req), reply, call_span));
     });
   }
 
   Result<Payload> outcome = co_await reply.wait();
   timeout_timer.cancel();
-  metrics_.record(info.latency_name, sim_.now() - call_started);
+  metrics_.record(info.latency, sim_.now() - call_started);
   if (outcome) {
     ++stats_.completed;
-    metrics_.add("rpc.completed");
-    metrics_.add(info.ok_name);
+    metrics_.add(kMetrics.completed);
+    metrics_.add(info.ok);
     metrics_.end_span(call_span, sim_.now(), "ok");
   } else {
     ++stats_.failed;
-    metrics_.add("rpc.failed");
-    metrics_.add(info.failed_name);
+    metrics_.add(kMetrics.failed);
+    metrics_.add(info.failed);
     if (outcome.error().kind == FailureKind::kTimeout) {
       ++stats_.timeouts;
-      metrics_.add("rpc.timeouts");
-      metrics_.add(info.timeouts_name);
+      metrics_.add(kMetrics.timeouts);
+      metrics_.add(info.timeouts);
       metrics_.end_span(call_span, sim_.now(), "timeout");
     } else {
       metrics_.end_span(call_span, sim_.now(), "failed");
@@ -162,7 +178,7 @@ Task<void> RpcNetwork::serve(NodeId from, NodeId to, MethodId method,
   const auto reply_latency = delivery_latency(to, from);
   if (!reply_latency) {
     ++stats_.messages_dropped;
-    metrics_.add("rpc.messages_dropped");
+    metrics_.add(kMetrics.messages_dropped);
     metrics_.end_span(serve_span, sim_.now(), "dropped");
     co_return;
   }
@@ -171,11 +187,11 @@ Task<void> RpcNetwork::serve(NodeId from, NodeId to, MethodId method,
                                  res = std::move(result)]() mutable {
     if (!topology_.is_up(from) || !route_alive(to, from)) {
       ++stats_.messages_dropped;
-      metrics_.add("rpc.messages_dropped");
+      metrics_.add(kMetrics.messages_dropped);
       return;
     }
     ++stats_.messages_delivered;
-    metrics_.add("rpc.messages_delivered");
+    metrics_.add(kMetrics.messages_delivered);
     reply_to.try_set(std::move(res));
   });
 }

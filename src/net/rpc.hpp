@@ -17,13 +17,14 @@
 //
 // Hot-path memory discipline (DESIGN.md decision 13): method names are
 // interned once into a dense MethodId table — dispatch is an index lookup,
-// and the per-method metric/span names ("rpc.<m>.latency_ns", "<m>#serve",
-// ...) are precomputed at intern time so telemetry strings are never rebuilt
-// per call. Payloads travel in pooled Payload boxes instead of std::any, and
-// live-path latencies are cached against the topology version instead of
-// re-running Dijkstra per message. None of this changes simulated-time
-// behaviour: RNG draws, event ordering, and every metric/span name are
-// byte-identical to the string-keyed implementation.
+// and the per-method metric ids ("rpc.<m>.latency_ns", ...) and span names
+// ("<m>#serve") are resolved at intern time, so a call records by id and
+// never builds or looks up a telemetry string. Payloads travel in pooled
+// Payload boxes instead of std::any, and live-path latencies are cached
+// against the topology version instead of re-running Dijkstra per message.
+// None of this changes simulated-time behaviour: RNG draws, event ordering,
+// and every metric/span name are byte-identical to the string-keyed
+// implementation.
 
 #include <cassert>
 #include <cstdint>
@@ -194,11 +195,13 @@ class RpcNetwork {
  private:
   /// Everything derived from a method name, computed once at intern time.
   struct MethodInfo {
+    explicit MethodInfo(std::string_view method);
+
     std::string name;
-    std::string latency_name;      // "rpc.<name>.latency_ns"
-    std::string ok_name;           // "rpc.<name>.ok"
-    std::string failed_name;       // "rpc.<name>.failed"
-    std::string timeouts_name;     // "rpc.<name>.timeouts"
+    obs::HistogramId latency;      // "rpc.<name>.latency_ns"
+    obs::CounterId ok;             // "rpc.<name>.ok"
+    obs::CounterId failed;         // "rpc.<name>.failed"
+    obs::CounterId timeouts;       // "rpc.<name>.timeouts"
     std::string serve_name;        // "<name>#serve"
     std::string not_found_detail;  // "no handler for <name>"
   };

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <utility>
 
@@ -103,33 +104,70 @@ std::vector<std::pair<std::int64_t, std::uint64_t>> Histogram::nonzero_buckets()
 }
 
 // ---------------------------------------------------------------------------
+// Interned names
+
+namespace {
+
+/// One process-wide table of names: dense ids in interning order.
+class NameTable {
+ public:
+  std::uint32_t intern(std::string_view name) {
+    if (const auto it = index_.find(name); it != index_.end()) {
+      return it->second;
+    }
+    const auto id = static_cast<std::uint32_t>(names_.size());
+    names_.emplace_back(name);
+    index_.emplace(names_.back(), id);
+    return id;
+  }
+
+  [[nodiscard]] const std::string& name(std::uint32_t id) const {
+    return names_[id];
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
+
+  /// `ids` sorted by name: the export order.
+  void sort_by_name(std::vector<std::uint32_t>& ids) const {
+    const auto by_name = [this](std::uint32_t a, std::uint32_t b) {
+      return names_[a] < names_[b];
+    };
+    std::sort(ids.begin(), ids.end(), by_name);
+  }
+
+ private:
+  std::deque<std::string> names_;  // a deque: the index keys view into it
+  std::unordered_map<std::string_view, std::uint32_t> index_;
+};
+
+NameTable& counter_names() {
+  static NameTable table;
+  return table;
+}
+
+NameTable& histogram_names() {
+  static NameTable table;
+  return table;
+}
+
+}  // namespace
+
+CounterId::CounterId(std::string_view name)
+    : index_(counter_names().intern(name)) {}
+
+HistogramId::HistogramId(std::string_view name)
+    : index_(histogram_names().intern(name)) {}
+
+// ---------------------------------------------------------------------------
 // MetricsRegistry
 
-void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) {
-    it->second += delta;
-  } else {
-    counters_.emplace(std::string{name}, delta);
-  }
+void MetricsRegistry::grow_counters(std::uint32_t index) {
+  // Sized to the whole table, so a registry grows about once per run.
+  counters_.resize(std::max<std::size_t>(index + 1, counter_names().size()));
 }
 
-std::uint64_t MetricsRegistry::counter(std::string_view name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-void MetricsRegistry::record_value(std::string_view name, std::int64_t value) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string{name}, Histogram{}).first;
-  }
-  it->second.record(value);
-}
-
-const Histogram* MetricsRegistry::histogram(std::string_view name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
+void MetricsRegistry::grow_histograms(std::uint32_t index) {
+  histograms_.resize(
+      std::max<std::size_t>(index + 1, histogram_names().size()));
 }
 
 std::uint64_t MetricsRegistry::begin_span(std::string_view op,
@@ -137,30 +175,27 @@ std::uint64_t MetricsRegistry::begin_span(std::string_view op,
                                           std::uint64_t parent) {
   const std::uint64_t id = next_span_id_++;
   ++spans_started_;
+  OpenSpan* open = nullptr;
   if (!span_node_stash_.empty()) {
-    // Steady state: reuse a parked map node — the contained Span's strings
+    // Steady state: reuse a parked node — the contained Span's strings
     // keep their capacity, so the copies below allocate nothing.
     auto node = std::move(span_node_stash_.back());
     span_node_stash_.pop_back();
     node.key() = id;
-    Span& span = node.mapped();
-    span.id = id;
-    span.parent = parent;
+    open = &open_spans_.insert(std::move(node)).position->second;
+  } else {
+    open = &open_spans_.try_emplace(id).first->second;
+  }
+  open->retainable = spans_.size() < span_cap_;
+  Span& span = open->span;
+  span.id = id;
+  span.parent = parent;
+  if (open->retainable) {
     span.op.assign(op);
     span.peer.assign(peer);
-    span.start = at;
-    span.end = at;
-    open_spans_.insert(std::move(node));
-  } else {
-    Span span;
-    span.id = id;
-    span.parent = parent;
-    span.op = std::string{op};
-    span.peer = std::string{peer};
-    span.start = at;
-    span.end = at;
-    open_spans_.emplace(id, std::move(span));
   }
+  span.start = at;
+  span.end = at;
   return id;
 }
 
@@ -170,9 +205,10 @@ void MetricsRegistry::end_span(std::uint64_t id, SimTime at,
   if (it == open_spans_.end()) return;  // unknown or already closed
   ++spans_finished_;
   auto node = open_spans_.extract(it);
-  Span& span = node.mapped();
-  span.end = at;
-  if (spans_.size() < span_cap_) {
+  OpenSpan& open = node.mapped();
+  if (open.retainable && spans_.size() < span_cap_) {
+    Span& span = open.span;
+    span.end = at;
     span.outcome = std::string{outcome};
     spans_.push_back(std::move(span));  // steals buffers: pre-cap only
   } else {
@@ -182,13 +218,11 @@ void MetricsRegistry::end_span(std::uint64_t id, SimTime at,
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) add(name, value);
-  for (const auto& [name, histogram] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_.emplace(name, Histogram{}).first;
-    }
-    it->second.merge(histogram);
+  for (const std::uint32_t index : other.touched_counters_) {
+    touch_counter(index).value += other.counters_[index].value;
+  }
+  for (const std::uint32_t index : other.touched_histograms_) {
+    touch_histogram(index).histogram.merge(other.histograms_[index].histogram);
   }
   spans_started_ += other.spans_started_;
   spans_finished_ += other.spans_finished_;
@@ -248,23 +282,28 @@ std::string MetricsRegistry::to_json() const {
   };
   out += "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, value] : counters_) {
+  std::vector<std::uint32_t> ids = touched_counters_;
+  counter_names().sort_by_name(ids);
+  for (const std::uint32_t index : ids) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    out += json_escape(name);
+    out += json_escape(counter_names().name(index));
     out += "\": ";
-    out += std::to_string(value);
+    out += std::to_string(counters_[index].value);
   }
   out += first ? "},\n" : "\n  },\n";
 
   out += "  \"histograms\": {";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  ids = touched_histograms_;
+  histogram_names().sort_by_name(ids);
+  for (const std::uint32_t index : ids) {
+    const Histogram& h = histograms_[index].histogram;
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    out += json_escape(name);
+    out += json_escape(histogram_names().name(index));
     out += "\": {";
     field("\"count\": ", h.count());
     field(", \"sum\": ", h.sum());
@@ -323,8 +362,14 @@ bool MetricsRegistry::write_json_file(const std::string& path) const {
 }
 
 void MetricsRegistry::clear() {
-  counters_.clear();
-  histograms_.clear();
+  for (const std::uint32_t index : touched_counters_) {
+    counters_[index] = CounterSlot{};
+  }
+  touched_counters_.clear();
+  for (const std::uint32_t index : touched_histograms_) {
+    histograms_[index] = HistogramSlot{};
+  }
+  touched_histograms_.clear();
   spans_.clear();
   open_spans_.clear();
   span_node_stash_.clear();

@@ -18,13 +18,22 @@
 // pass their own registry. Recording never consumes randomness and never
 // schedules simulator events, so instrumented and uninstrumented runs have
 // identical timing and interleaving.
+//
+// Names are interned (DESIGN.md decision 10): a CounterId / HistogramId is a
+// dense index into one process-wide name table, minted once per name, and a
+// registry keeps its values in vectors indexed by it. Hot recorders hold the
+// ids of their names in a per-module struct built once per process, so
+// recording is an index, not a string-keyed lookup. The string overloads
+// (add(name), counter(name), histogram(name), ...) stay for readers and cold
+// paths; they resolve the name through the same table. The process is
+// single-threaded (the simulator runs one event queue), and so is the table.
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/time.hpp"
@@ -73,6 +82,33 @@ class Histogram {
   std::int64_t max_ = 0;
 };
 
+/// Dense handle of an interned counter name. Constructing one interns the
+/// name into the process-wide table (idempotent: one name, one id), so a
+/// handle is valid in every registry and across MetricsRegistry::clear().
+/// Build it once per process (a module's static struct of ids), not per
+/// object or per call.
+class CounterId {
+ public:
+  explicit CounterId(std::string_view name);
+
+  [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
+
+ private:
+  std::uint32_t index_;
+};
+
+/// Dense handle of an interned histogram name; same contract as CounterId
+/// (histogram names are a table of their own).
+class HistogramId {
+ public:
+  explicit HistogramId(std::string_view name);
+
+  [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
+
+ private:
+  std::uint32_t index_;
+};
+
 /// One completed (or still open) operation span on the simulated clock.
 struct Span {
   std::uint64_t id = 0;      ///< 1-based; 0 is "no span" (see parent)
@@ -85,7 +121,7 @@ struct Span {
 };
 
 /// The metrics sink: named counters, named histograms, and a bounded span
-/// log. Deterministic by construction — keys are kept in lexicographic
+/// log. Deterministic by construction — exports list names in lexicographic
 /// order, span ids in allocation order, and every exported quantity is
 /// integral.
 class MetricsRegistry {
@@ -96,37 +132,64 @@ class MetricsRegistry {
 
   // -- counters --------------------------------------------------------------
 
-  /// Adds `delta` to the named monotonic counter (creating it at 0).
-  void add(std::string_view name, std::uint64_t delta = 1);
+  /// Adds `delta` to the counter (creating it at 0: even add(id, 0) makes
+  /// the counter part of the export).
+  void add(CounterId id, std::uint64_t delta = 1) {
+    touch_counter(id.index()).value += delta;
+  }
+  void add(std::string_view name, std::uint64_t delta = 1) {
+    add(CounterId{name}, delta);
+  }
 
   /// Current counter value (0 if never touched).
-  [[nodiscard]] std::uint64_t counter(std::string_view name) const;
+  [[nodiscard]] std::uint64_t counter(CounterId id) const {
+    return id.index() < counters_.size() ? counters_[id.index()].value : 0;
+  }
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    return counter(CounterId{name});
+  }
 
   // -- histograms ------------------------------------------------------------
 
-  /// Records a simulated-time latency, in nanoseconds, into the named
-  /// histogram. Convention: duration-valued histogram names end in "_ns".
+  /// Records a simulated-time latency, in nanoseconds, into the histogram.
+  /// Convention: duration-valued histogram names end in "_ns".
+  void record(HistogramId id, Duration d) { record_value(id, d.count_nanos()); }
   void record(std::string_view name, Duration d) {
-    record_value(name, d.count_nanos());
+    record_value(HistogramId{name}, d.count_nanos());
   }
 
   /// Records a plain value (queue depth, batch size, ...).
-  void record_value(std::string_view name, std::int64_t value);
+  void record_value(HistogramId id, std::int64_t value) {
+    touch_histogram(id.index()).histogram.record(value);
+  }
+  void record_value(std::string_view name, std::int64_t value) {
+    record_value(HistogramId{name}, value);
+  }
 
-  /// The named histogram, or nullptr if nothing was recorded under `name`.
-  [[nodiscard]] const Histogram* histogram(std::string_view name) const;
+  /// The histogram, or nullptr if nothing was recorded into it.
+  [[nodiscard]] const Histogram* histogram(HistogramId id) const {
+    if (id.index() >= histograms_.size()) return nullptr;
+    const HistogramSlot& slot = histograms_[id.index()];
+    return slot.touched ? &slot.histogram : nullptr;
+  }
+  [[nodiscard]] const Histogram* histogram(std::string_view name) const {
+    return histogram(HistogramId{name});
+  }
 
   // -- spans -----------------------------------------------------------------
 
   /// Opens a span at simulated time `at`; returns its id (ids are allocated
   /// even past the retention cap, so capping never perturbs determinism).
-  /// `op` and `peer` are copied; steady-state opens reuse recycled span
-  /// storage, so the copy costs no allocation once the system is warm.
+  /// `op` and `peer` are copied while the retained log has room; a span
+  /// opened once it is full can never be retained (raising the cap later
+  /// does not revive it), so it is tracked by id alone. Steady-state opens
+  /// reuse recycled span storage, so they allocate nothing once warm.
   std::uint64_t begin_span(std::string_view op, std::string_view peer,
                            SimTime at, std::uint64_t parent = 0);
 
-  /// Closes span `id` with `outcome`. The first span_cap() completed spans
-  /// are retained for export; later ones only count into spans_dropped.
+  /// Closes span `id` with `outcome` (an unknown or already closed id is
+  /// ignored). The first span_cap() completed spans are retained for
+  /// export; later ones only count into spans_dropped.
   void end_span(std::uint64_t id, SimTime at, std::string_view outcome);
 
   [[nodiscard]] std::uint64_t spans_started() const noexcept {
@@ -160,14 +223,53 @@ class MetricsRegistry {
   /// I/O failure.
   bool write_json_file(const std::string& path) const;
 
-  /// Drops all recorded state (counters, histograms, spans).
+  /// Drops all recorded state (counters, histograms, spans). Interned ids
+  /// stay valid.
   void clear();
 
  private:
-  using OpenSpanMap = std::map<std::uint64_t, Span>;
+  struct CounterSlot {
+    std::uint64_t value = 0;
+    bool touched = false;  ///< recorded since the last clear()
+  };
+  struct HistogramSlot {
+    Histogram histogram;
+    bool touched = false;  ///< recorded since the last clear()
+  };
+  struct OpenSpan {
+    Span span;
+    bool retainable = false;  ///< opened while the retained log had room
+  };
+  using OpenSpanMap = std::unordered_map<std::uint64_t, OpenSpan>;
 
-  std::map<std::string, std::uint64_t, std::less<>> counters_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
+  /// The slot at `index`, grown into and marked touched if need be.
+  CounterSlot& touch_counter(std::uint32_t index) {
+    if (index >= counters_.size()) grow_counters(index);
+    CounterSlot& slot = counters_[index];
+    if (!slot.touched) {
+      slot.touched = true;
+      touched_counters_.push_back(index);
+    }
+    return slot;
+  }
+  HistogramSlot& touch_histogram(std::uint32_t index) {
+    if (index >= histograms_.size()) grow_histograms(index);
+    HistogramSlot& slot = histograms_[index];
+    if (!slot.touched) {
+      slot.touched = true;
+      touched_histograms_.push_back(index);
+    }
+    return slot;
+  }
+  void grow_counters(std::uint32_t index);
+  void grow_histograms(std::uint32_t index);
+
+  // Indexed by CounterId / HistogramId; the touched lists hold the ids
+  // recorded since the last clear(), in first-touch order.
+  std::vector<CounterSlot> counters_;
+  std::vector<std::uint32_t> touched_counters_;
+  std::vector<HistogramSlot> histograms_;
+  std::vector<std::uint32_t> touched_histograms_;
   std::vector<Span> spans_;     // first span_cap_ completed
   OpenSpanMap open_spans_;      // in-flight, keyed by id
   /// Recycled open_spans_ nodes: a span open/close in the steady state reuses

@@ -3,6 +3,21 @@
 #include <utility>
 
 namespace weakset::placement {
+namespace {
+
+/// This module's telemetry names, interned once per process.
+struct DirectoryMetrics {
+  obs::CounterId dir_epoch_bumps{"placement.dir.epoch_bumps"};
+  obs::CounterId dir_lookups{"placement.dir.lookups"};
+  obs::CounterId dir_lookups_served{"placement.dir.lookups_served"};
+  obs::CounterId dir_refresh_hits{"placement.dir.refresh_hits"};
+  obs::CounterId dir_watch_fires{"placement.dir.watch_fires"};
+  obs::CounterId dir_watch_notifies{"placement.dir.watch_notifies"};
+  obs::CounterId dir_watches_served{"placement.dir.watches_served"};
+};
+const DirectoryMetrics kMetrics{};
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // DirectoryService
@@ -24,7 +39,7 @@ DirectoryService::DirectoryService(Repository& repo, NodeId node,
   // Epoch-bump accounting lives here (not in Repository) so that runs
   // without a placement subsystem attached never touch the registry.
   repo_.add_directory_observer([this](CollectionId, std::uint64_t) {
-    metrics_.add("placement.dir.epoch_bumps");
+    metrics_.add(kMetrics.dir_epoch_bumps);
   });
 }
 
@@ -36,7 +51,7 @@ msg::DirView DirectoryService::view_of(CollectionId id) const {
 Task<Result<Payload>> DirectoryService::handle_lookup(NodeId /*from*/,
                                                        Payload request) {
   const auto req = payload_cast<msg::DirLookupRequest>(std::move(request));
-  metrics_.add("placement.dir.lookups_served");
+  metrics_.add(kMetrics.dir_lookups_served);
   co_await repo_.sim().delay(options_.lookup_latency);
   co_return Payload{view_of(req.id())};
 }
@@ -44,7 +59,7 @@ Task<Result<Payload>> DirectoryService::handle_lookup(NodeId /*from*/,
 Task<Result<Payload>> DirectoryService::handle_watch(NodeId /*from*/,
                                                       Payload request) {
   const auto req = payload_cast<msg::DirWatchRequest>(std::move(request));
-  metrics_.add("placement.dir.watches_served");
+  metrics_.add(kMetrics.dir_watches_served);
   Simulator& sim = repo_.sim();
   // Hold the poll until the epoch moves past the caller's or the hold
   // expires. The hold bound keeps this coroutine from outliving the run;
@@ -58,7 +73,7 @@ Task<Result<Payload>> DirectoryService::handle_watch(NodeId /*from*/,
   }
   co_await sim.delay(options_.lookup_latency);
   if (repo_.meta(req.id()).epoch() > req.known_epoch()) {
-    metrics_.add("placement.dir.watch_fires");
+    metrics_.add(kMetrics.dir_watch_fires);
   }
   co_return Payload{view_of(req.id())};
 }
@@ -110,10 +125,10 @@ Task<bool> DirectoryClient::refresh(CollectionId id,
                                     std::uint64_t current_epoch) {
   if (current_epoch != 0 && ensure(id).epoch() >= current_epoch) {
     // Another healer already pulled this epoch (or the watch loop beat us).
-    metrics_.add("placement.dir.refresh_hits");
+    metrics_.add(kMetrics.dir_refresh_hits);
     co_return true;
   }
-  metrics_.add("placement.dir.lookups");
+  metrics_.add(kMetrics.dir_lookups);
   auto reply = co_await repo_.net().call_typed<msg::DirView>(
       node_, directory_, "dir.lookup", msg::DirLookupRequest{id},
       options_.rpc_timeout);
@@ -138,7 +153,7 @@ Task<void> DirectoryClient::watch_loop(CollectionId id) {
     if (!reply) continue;
     if (install(id, reply.value())) {
       ++notifications_;
-      metrics_.add("placement.dir.watch_notifies");
+      metrics_.add(kMetrics.dir_watch_notifies);
     }
   }
 }

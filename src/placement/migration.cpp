@@ -8,6 +8,24 @@
 #include "wal/wal.hpp"
 
 namespace weakset::placement {
+namespace {
+
+/// This module's telemetry names, interned once per process.
+struct MigrationMetrics {
+  obs::CounterId catchup_rounds{"placement.catchup_rounds"};
+  obs::CounterId chunks_streamed{"placement.chunks_streamed"};
+  obs::CounterId migrations_aborted{"placement.migrations_aborted"};
+  obs::CounterId migrations_committed{"placement.migrations_committed"};
+  obs::CounterId migrations_started{"placement.migrations_started"};
+  obs::CounterId orphans_retired{"placement.orphans_retired"};
+  obs::CounterId stagings_aborted{"placement.stagings_aborted"};
+  obs::CounterId stagings_opened{"placement.stagings_opened"};
+  obs::HistogramId migration_bytes{"placement.migration_bytes"};
+  obs::HistogramId migration_time{"placement.migration_time"};
+};
+const MigrationMetrics kMetrics{};
+
+}  // namespace
 
 namespace smsg = weakset::msg;  // store-layer payloads (sync, handoff apply)
 
@@ -97,15 +115,15 @@ Task<Result<std::uint64_t>> MigrationEngine::migrate(CollectionId id,
   }
 
   outbound_.insert(id);
-  metrics_.add("placement.migrations_started");
+  metrics_.add(kMetrics.migrations_started);
   const SimTime started = repo_.sim().now();
   auto result = co_await run_source(server, id, fragment, target);
   outbound_.erase(id);
   if (result) {
-    metrics_.add("placement.migrations_committed");
-    metrics_.record("placement.migration_time", repo_.sim().now() - started);
+    metrics_.add(kMetrics.migrations_committed);
+    metrics_.record(kMetrics.migration_time, repo_.sim().now() - started);
   } else {
-    metrics_.add("placement.migrations_aborted");
+    metrics_.add(kMetrics.migrations_aborted);
   }
   co_return result;
 }
@@ -133,10 +151,9 @@ Task<Result<std::uint64_t>> MigrationEngine::run_source(StoreServer* server,
   //    live single home on recovery.
   server->log_migration_begin(id, target);
   wal::CollectionImage image = server->export_image(id);
-  metrics_.record_value(
-      "placement.migration_bytes",
-      static_cast<std::int64_t>(
-          wal::encode(wal::CheckpointImage{{image}}).size()));
+  const auto image_bytes = static_cast<std::int64_t>(
+      wal::encode(wal::CheckpointImage{{image}}).size());
+  metrics_.record_value(kMetrics.migration_bytes, image_bytes);
 
   // 2. Staging area on the target.
   auto begin = co_await call<bool>(
@@ -179,7 +196,7 @@ Task<Result<std::uint64_t>> MigrationEngine::run_source(StoreServer* server,
     if (!shipped) {
       co_return co_await abort_source(server, id, target, shipped.error());
     }
-    metrics_.add("placement.chunks_streamed");
+    metrics_.add(kMetrics.chunks_streamed);
   }
 
   // 4. Catch up the ops that landed while the snapshot streamed, cutting
@@ -230,7 +247,7 @@ Task<Result<std::uint64_t>> MigrationEngine::run_source(StoreServer* server,
           Failure{FailureKind::kExhausted, "catch-up made no progress"});
     }
     cursor = sync.value().applied_seq();
-    metrics_.add("placement.catchup_rounds");
+    metrics_.add(kMetrics.catchup_rounds);
   }
 
   // 5. Commit on the target: promote + checkpoint before it answers. The
@@ -319,7 +336,7 @@ Task<Result<Payload>> MigrationEngine::handle_begin(NodeId /*from*/,
   staging->source = req.source();
   staging->incarnation = req.incarnation();
   staging_.insert_or_assign(req.id(), std::move(staging));
-  metrics_.add("placement.stagings_opened");
+  metrics_.add(kMetrics.stagings_opened);
   co_return Payload{true};
 }
 
@@ -472,10 +489,10 @@ Task<Result<Payload>> MigrationEngine::handle_abort(NodeId /*from*/,
     }
     if (!pointed_here) {
       server->retire_collection(req.id(), NodeId::invalid(), meta.epoch());
-      metrics_.add("placement.orphans_retired");
+      metrics_.add(kMetrics.orphans_retired);
     }
   }
-  metrics_.add("placement.stagings_aborted");
+  metrics_.add(kMetrics.stagings_aborted);
   co_return Payload{true};
 }
 

@@ -6,6 +6,18 @@
 #include <utility>
 
 namespace weakset::placement {
+namespace {
+
+/// This module's telemetry names, interned once per process.
+struct RebalancerMetrics {
+  obs::CounterId rebalance_commits{"placement.rebalance_commits"};
+  obs::CounterId rebalance_failures{"placement.rebalance_failures"};
+  obs::CounterId rebalance_requests{"placement.rebalance_requests"};
+  obs::CounterId rebalance_scans{"placement.rebalance_scans"};
+};
+const RebalancerMetrics kMetrics{};
+
+}  // namespace
 
 std::optional<RebalancePolicy> parse_policy(std::string_view name) {
   if (name == "none") return RebalancePolicy::kNone;
@@ -46,14 +58,14 @@ Task<void> Rebalancer::run_loop() {
   while (!stopping_) {
     co_await repo_.sim().delay(options_.interval);
     if (stopping_) co_return;
-    metrics_.add("placement.rebalance_scans");
+    metrics_.add(kMetrics.rebalance_scans);
     const std::vector<FragmentView> rows = scan();
     if (in_flight_ >= options_.max_concurrent) continue;
     const std::optional<Move> move = decide(rows);
     if (!move) continue;
     ++in_flight_;
     ++requested_;
-    metrics_.add("placement.rebalance_requests");
+    metrics_.add(kMetrics.rebalance_requests);
     repo_.sim().spawn(execute(*move));
   }
 }
@@ -211,9 +223,9 @@ Task<void> Rebalancer::execute(Move move) {
       options_.migrate_timeout);
   if (reply) {
     ++committed_;
-    metrics_.add("placement.rebalance_commits");
+    metrics_.add(kMetrics.rebalance_commits);
   } else {
-    metrics_.add("placement.rebalance_failures");
+    metrics_.add(kMetrics.rebalance_failures);
   }
   if (in_flight_ > 0) --in_flight_;
 }

@@ -4,7 +4,7 @@
 
 namespace weakset::spec {
 
-std::string render(const std::set<ObjectRef>& value) {
+std::string render(const RefSet& value) {
   std::ostringstream os;
   os << '{';
   bool first = true;

@@ -16,8 +16,8 @@
 
 namespace weakset::spec {
 
-/// "{obj1@n0, obj2@n1}" — a set value.
-std::string render(const std::set<ObjectRef>& value);
+/// "{obj1@n0, obj2@n1}" — a set value (a std::set converts implicitly).
+std::string render(const RefSet& value);
 
 /// One invocation, single line.
 std::string render(const InvocationRecord& invocation, std::size_t index);

@@ -11,6 +11,7 @@
 //                      collection into a MembershipTimeline, stamped with the
 //                      simulated time.
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
@@ -30,52 +31,73 @@ class RepoGroundTruth final : public GroundTruth {
       : repo_(repo), collection_(collection), observer_(observer) {}
 
   [[nodiscard]] SetObservation observe() const override {
-    std::set<ObjectRef> members;
-    std::set<ObjectRef> reachable;
-    const Topology& topo = repo_.topology();
+    // Every host's members go into one vector, sorted and deduplicated once;
+    // reachability is then tested once per distinct member.
+    std::vector<ObjectRef> all;
     const CollectionMeta& meta = repo_.meta(collection_);
     const bool orset = meta.mode() == ReplicationMode::kOrSet;
     for (const FragmentMeta& frag : meta.fragments()) {
       // Home-primary: the primary's state IS the fragment's value (replicas
       // are derived caches). OR-Set: every host is authoritative for the
       // writes it accepted, so the value is the merged union over all hosts.
-      std::vector<NodeId> hosts{frag.primary()};
-      if (orset) {
-        hosts.insert(hosts.end(), frag.replicas().begin(),
-                     frag.replicas().end());
-      }
-      for (const NodeId host : hosts) {
-        StoreServer* server = repo_.server_at(host);
-        if (server == nullptr) continue;
-        std::vector<ObjectRef> current;
-        if (orset) {
-          const crdt::OrSet* state = server->orset_state(collection_);
-          if (state == nullptr) continue;
-          current = state->members();
-        } else {
-          const CollectionState* state = server->collection(collection_);
-          if (state == nullptr) continue;
-          current = state->members();
-        }
-        for (const ObjectRef ref : current) {
-          members.insert(ref);
-          if (is_reachable(topo, observer_, ref)) reachable.insert(ref);
-        }
+      append_members(frag.primary(), orset, all);
+      if (!orset) continue;
+      for (const NodeId host : frag.replicas()) {
+        append_members(host, orset, all);
       }
     }
-    return SetObservation{std::move(members), std::move(reachable)};
+    RefSet members = RefSet::from_unsorted(std::move(all));
+    std::vector<ObjectRef> reachable;
+    reachable.reserve(members.size());
+    for (const ObjectRef ref : members) {
+      if (this->reachable(ref)) reachable.push_back(ref);
+    }
+    return SetObservation{std::move(members),
+                          RefSet::from_sorted(std::move(reachable))};
   }
 
+  /// is_reachable() from the observer, which depends only on `ref`'s home:
+  /// memoised per home node until the topology next changes.
   [[nodiscard]] bool reachable(ObjectRef ref) const override {
-    return is_reachable(repo_.topology(), observer_, ref);
+    const Topology& topo = repo_.topology();
+    if (home_reachable_.size() != topo.node_count() ||
+        memo_version_ != topo.version()) {
+      home_reachable_.assign(topo.node_count(), kUnknown);
+      memo_version_ = topo.version();
+    }
+    std::int8_t& slot = home_reachable_[ref.home().raw()];
+    if (slot == kUnknown) slot = is_reachable(topo, observer_, ref) ? 1 : 0;
+    return slot == 1;
   }
 
   [[nodiscard]] SimTime now() const override { return repo_.sim().now(); }
 
  private:
+  /// Appends the members `host` holds of the collection (none if it is not
+  /// running or not hosting it).
+  void append_members(NodeId host, bool orset,
+                      std::vector<ObjectRef>& out) const {
+    StoreServer* server = repo_.server_at(host);
+    if (server == nullptr) return;
+    if (orset) {
+      if (const crdt::OrSet* state = server->orset_state(collection_)) {
+        const std::vector<ObjectRef> current = state->members();
+        out.insert(out.end(), current.begin(), current.end());
+      }
+    } else if (const CollectionState* state = server->collection(collection_)) {
+      out.insert(out.end(), state->members().begin(), state->members().end());
+    }
+  }
+
+  static constexpr std::int8_t kUnknown = -1;
+
   Repository& repo_;
   CollectionId collection_;
   NodeId observer_;
+  /// Per home node: 1 reachable, 0 not, kUnknown not yet asked, valid for
+  /// topology version memo_version_.
+  mutable std::vector<std::int8_t> home_reachable_;
+  mutable std::uint64_t memo_version_ = 0;
 };
 
 /// Member sequences of every host of one OR-Set fragment, labelled by node —

@@ -1,6 +1,6 @@
 #include "spec/specs.hpp"
 
-#include <algorithm>
+#include <set>
 #include <sstream>
 
 namespace weakset::spec {
@@ -18,11 +18,6 @@ std::string at(const InvocationRecord& inv, std::size_t index) {
   return os.str();
 }
 
-/// a ⊆ b
-bool subset(const std::set<ObjectRef>& a, const std::set<ObjectRef>& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
 /// Witness rule: predicate over a state, satisfied at pre or post.
 template <typename Fn>
 bool witness(const InvocationRecord& inv, Fn&& fn) {
@@ -37,7 +32,7 @@ bool witness(const InvocationRecord& inv, Fn&& fn) {
 SpecReport check_fig1(const IterationTrace& trace) {
   SpecReport report{"fig1-immutable-no-failures"};
   if (!trace.started()) return report;
-  const std::set<ObjectRef>& s_first = trace.first().members();
+  const RefSet& s_first = trace.first().members();
   std::set<ObjectRef> yielded;  // the remembered history object
 
   std::size_t index = 0;
@@ -53,7 +48,7 @@ SpecReport check_fig1(const IterationTrace& trace) {
           report.violate(at(inv, index) + ": duplicate yield of " +
                          describe(e));
         }
-        if (s_first.count(e) == 0) {
+        if (!s_first.contains(e)) {
           report.violate(at(inv, index) + ": yielded " + describe(e) +
                          " which is not in s_first");
         }
@@ -65,7 +60,7 @@ SpecReport check_fig1(const IterationTrace& trace) {
         break;
       }
       case StepOutcome::kReturned:
-        if (yielded != s_first) {
+        if (!same_members(yielded, s_first)) {
           report.violate(at(inv, index) +
                          ": returned with yielded != s_first (" +
                          std::to_string(yielded.size()) + " of " +
@@ -91,14 +86,14 @@ SpecReport check_fig3_fig4_ensures(const IterationTrace& trace,
                                    std::string name) {
   SpecReport report{std::move(name)};
   if (!trace.started()) return report;
-  const std::set<ObjectRef>& s_first = trace.first().members();
+  const RefSet& s_first = trace.first().members();
   std::set<ObjectRef> yielded;
 
   std::size_t index = 0;
   for (const InvocationRecord& inv : trace.invocations()) {
     // reachable(s_first) in this invocation's pre/post states.
-    const auto& reach_pre = inv.pre_reachable_of_first();
-    const auto& reach_post = inv.post_reachable_of_first();
+    const RefSet& reach_pre = inv.pre_reachable_of_first();
+    const RefSet& reach_post = inv.post_reachable_of_first();
     switch (inv.outcome()) {
       case StepOutcome::kSuspended: {
         if (!inv.element()) {
@@ -110,12 +105,12 @@ SpecReport check_fig3_fig4_ensures(const IterationTrace& trace,
           report.violate(at(inv, index) + ": duplicate yield of " +
                          describe(e));
         }
-        if (s_first.count(e) == 0) {
+        if (!s_first.contains(e)) {
           report.violate(at(inv, index) + ": yielded " + describe(e) +
                          " which is not in s_first");
         }
         // e ∈ reachable(s_first) — at pre or post (witness rule).
-        if (reach_pre.count(e) == 0 && reach_post.count(e) == 0) {
+        if (!reach_pre.contains(e) && !reach_post.contains(e)) {
           report.violate(at(inv, index) + ": yielded unreachable element " +
                          describe(e));
         }
@@ -130,7 +125,7 @@ SpecReport check_fig3_fig4_ensures(const IterationTrace& trace,
         break;
       }
       case StepOutcome::kReturned:
-        if (yielded != s_first) {
+        if (!same_members(yielded, s_first)) {
           report.violate(at(inv, index) +
                          ": returned with yielded != s_first (" +
                          std::to_string(yielded.size()) + " of " +
@@ -145,7 +140,7 @@ SpecReport check_fig3_fig4_ensures(const IterationTrace& trace,
         // the pre- and the post-state.
         bool stable_candidate_ignored = false;
         for (const ObjectRef e : reach_pre) {
-          if (yielded.count(e) == 0 && reach_post.count(e) > 0) {
+          if (yielded.count(e) == 0 && reach_post.contains(e)) {
             stable_candidate_ignored = true;
             break;
           }
@@ -155,7 +150,7 @@ SpecReport check_fig3_fig4_ensures(const IterationTrace& trace,
                          ": failed although a reachable unyielded "
                          "first-state element remained throughout");
         }
-        if (yielded == s_first) {
+        if (same_members(yielded, s_first)) {
           report.violate(at(inv, index) +
                          ": failed after yielding all of s_first (should "
                          "have returned)");
@@ -214,7 +209,7 @@ SpecReport check_fig5(const IterationTrace& trace) {
       case StepOutcome::kReturned:
         // yielded_pre = s_pre.
         if (!witness(inv, [&](const SetObservation& s) {
-              return yielded == s.members();
+              return same_members(yielded, s.members());
             })) {
           report.violate(at(inv, index) +
                          ": returned with yielded != s_pre");

@@ -1,17 +1,8 @@
 #include "spec/taxonomy.hpp"
 
-#include <algorithm>
 #include <set>
 
 namespace weakset::spec {
-namespace {
-
-/// a ⊆ b
-bool subset(const std::set<ObjectRef>& a, const std::set<ObjectRef>& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
-}  // namespace
 
 TaxonomyClass classify_taxonomy(const IterationTrace& trace,
                                 const MembershipTimeline& timeline) {

@@ -39,9 +39,8 @@ class GroundTruth {
 class InvocationRecord {
  public:
   InvocationRecord(SimTime pre_time, SetObservation pre,
-                   std::set<ObjectRef> pre_reachable_of_first,
-                   SimTime post_time, SetObservation post,
-                   std::set<ObjectRef> post_reachable_of_first,
+                   RefSet pre_reachable_of_first, SimTime post_time,
+                   SetObservation post, RefSet post_reachable_of_first,
                    StepOutcome outcome, std::optional<ObjectRef> element)
       : pre_time_(pre_time),
         pre_(std::move(pre)),
@@ -60,13 +59,11 @@ class InvocationRecord {
   [[nodiscard]] const SetObservation& post() const noexcept { return post_; }
   /// reachable(s_first) evaluated at the pre-state: the first-state members
   /// the observer could access when this invocation started.
-  [[nodiscard]] const std::set<ObjectRef>& pre_reachable_of_first()
-      const noexcept {
+  [[nodiscard]] const RefSet& pre_reachable_of_first() const noexcept {
     return pre_reachable_of_first_;
   }
   /// reachable(s_first) evaluated at the post-state.
-  [[nodiscard]] const std::set<ObjectRef>& post_reachable_of_first()
-      const noexcept {
+  [[nodiscard]] const RefSet& post_reachable_of_first() const noexcept {
     return post_reachable_of_first_;
   }
   [[nodiscard]] StepOutcome outcome() const noexcept { return outcome_; }
@@ -78,10 +75,10 @@ class InvocationRecord {
  private:
   SimTime pre_time_;
   SetObservation pre_;
-  std::set<ObjectRef> pre_reachable_of_first_;
+  RefSet pre_reachable_of_first_;
   SimTime post_time_;
   SetObservation post_;
-  std::set<ObjectRef> post_reachable_of_first_;
+  RefSet post_reachable_of_first_;
   StepOutcome outcome_;
   std::optional<ObjectRef> element_;
 };
@@ -185,7 +182,7 @@ class TraceRecorder {
                               truth_.now(), truth_.observe(),
                               reachable_of_first(), outcome, element);
     pre_ = SetObservation{};
-    pre_reachable_of_first_.clear();
+    pre_reachable_of_first_ = RefSet{};
   }
 
   /// The finished trace. Single use: the recorded first-state and
@@ -202,13 +199,15 @@ class TraceRecorder {
 
  private:
   /// reachable(s_first) in the current state σ: which first-state members
-  /// the observer can access right now.
-  [[nodiscard]] std::set<ObjectRef> reachable_of_first() const {
-    std::set<ObjectRef> out;
+  /// the observer can access right now. Filtering the sorted first-state
+  /// members keeps the result sorted.
+  [[nodiscard]] RefSet reachable_of_first() const {
+    std::vector<ObjectRef> out;
+    out.reserve(first_.members().size());
     for (const ObjectRef ref : first_.members()) {
-      if (truth_.reachable(ref)) out.insert(ref);
+      if (truth_.reachable(ref)) out.push_back(ref);
     }
-    return out;
+    return RefSet::from_sorted(std::move(out));
   }
 
   const GroundTruth& truth_;
@@ -217,7 +216,7 @@ class TraceRecorder {
   SetObservation first_;
   SimTime pre_time_;
   SetObservation pre_;
-  std::set<ObjectRef> pre_reachable_of_first_;
+  RefSet pre_reachable_of_first_;
   std::vector<InvocationRecord> invocations_;
 };
 

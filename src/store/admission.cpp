@@ -1,20 +1,33 @@
 #include "store/admission.hpp"
 
 namespace weakset {
+namespace {
+
+/// This module's telemetry names, interned once per process.
+struct AdmissionMetrics {
+  obs::CounterId admitted{"store.admission.admitted"};
+  obs::CounterId offered{"store.admission.offered"};
+  obs::CounterId shed{"store.admission.shed"};
+  obs::HistogramId queue_depth{"store.admission.queue_depth"};
+  obs::HistogramId wait{"store.admission.wait"};
+};
+const AdmissionMetrics kMetrics{};
+
+}  // namespace
 
 bool AdmissionController::AdmitAwaiter::await_ready() {
-  ctl->metrics_->add("store.admission.offered");
+  ctl->metrics_->add(kMetrics.offered);
   // Free slot: admit on the spot, no queueing.
   if (ctl->in_service_ < ctl->options_.max_concurrency) {
     ++ctl->in_service_;
     waiter.admitted = true;
-    ctl->metrics_->add("store.admission.admitted");
+    ctl->metrics_->add(kMetrics.admitted);
     return true;
   }
   if (ctl->options_.policy == AdmissionPolicy::kReject &&
       ctl->queued_for(tenant) >= ctl->options_.max_queue_depth) {
     // Tail drop: this arrival is the one refused.
-    ctl->metrics_->add("store.admission.shed");
+    ctl->metrics_->add(kMetrics.shed);
     waiter.admitted = false;
     return true;
   }
@@ -22,7 +35,7 @@ bool AdmissionController::AdmitAwaiter::await_ready() {
       ctl->queued_for(tenant) >= ctl->options_.max_queue_depth) {
     if (ctl->options_.max_queue_depth == 0) {
       // Degenerate bound: nothing queued to shed, refuse the arrival.
-      ctl->metrics_->add("store.admission.shed");
+      ctl->metrics_->add(kMetrics.shed);
       waiter.admitted = false;
       return true;
     }
@@ -43,8 +56,7 @@ void AdmissionController::AdmitAwaiter::await_suspend(
   // Per-tenant depth after the push: the quantity the policy bounds, so the
   // histogram's max directly witnesses "never above max_queue_depth".
   ctl->metrics_->record_value(
-      "store.admission.queue_depth",
-      static_cast<std::int64_t>(ctl->queued_for(tenant)));
+      kMetrics.queue_depth, static_cast<std::int64_t>(ctl->queued_for(tenant)));
 }
 
 void AdmissionController::release_slot(std::uint64_t generation) {
@@ -70,8 +82,8 @@ void AdmissionController::pump() {
     --total_queued_;
     ++in_service_;
     waiter->admitted = true;
-    metrics_->add("store.admission.admitted");
-    metrics_->record("store.admission.wait", sim_->now() - waiter->enqueued_at);
+    metrics_->add(kMetrics.admitted);
+    metrics_->record(kMetrics.wait, sim_->now() - waiter->enqueued_at);
     resume_later(waiter->handle);
   }
 }
@@ -84,7 +96,7 @@ void AdmissionController::shed_oldest(std::uint64_t tenant) {
   if (it->second.empty()) queues_.erase(it);
   --total_queued_;
   waiter->admitted = false;
-  metrics_->add("store.admission.shed");
+  metrics_->add(kMetrics.shed);
   resume_later(waiter->handle);
 }
 

@@ -9,6 +9,30 @@
 #include "util/pool.hpp"
 
 namespace weakset {
+namespace {
+
+/// This module's telemetry names, interned once per process.
+struct ClientMetrics {
+  obs::CounterId delta_cache_hits{"store.client.delta_cache_hits"};
+  obs::CounterId delta_cache_misses{"store.client.delta_cache_misses"};
+  obs::CounterId fetch_batch_rpcs{"store.client.fetch_batch_rpcs"};
+  obs::CounterId fetch_manys{"store.client.fetch_manys"};
+  obs::CounterId fragment_reads_delta{"store.client.fragment_reads_delta"};
+  obs::CounterId fragment_reads_full{"store.client.fragment_reads_full"};
+  obs::CounterId members_shipped{"store.client.members_shipped"};
+  obs::CounterId ops_shipped{"store.client.ops_shipped"};
+  obs::CounterId orset_write_failovers{"store.client.orset_write_failovers"};
+  obs::CounterId read_alls{"store.client.read_alls"};
+  obs::CounterId snapshots_atomic{"store.client.snapshots_atomic"};
+  obs::CounterId wrong_epoch_retries{"store.client.wrong_epoch_retries"};
+  obs::HistogramId fetch_many_size{"store.client.fetch_many_size"};
+  obs::HistogramId read_all_latency_ns{"store.client.read_all_latency_ns"};
+  obs::HistogramId snapshot_atomic_latency_ns{
+      "store.client.snapshot_atomic_latency_ns"};
+};
+const ClientMetrics kMetrics{};
+
+}  // namespace
 
 std::optional<NodeId> RepositoryClient::pick_read_host(
     const FragmentMeta& fragment) const {
@@ -73,7 +97,7 @@ Task<bool> RepositoryClient::heal_wrong_epoch(CollectionId id,
     }
     current = current * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  metrics_.add("store.client.wrong_epoch_retries");
+  metrics_.add(kMetrics.wrong_epoch_retries);
   co_return co_await options_.directory->refresh(id, current);
 }
 
@@ -210,9 +234,9 @@ const std::vector<ObjectRef>& RepositoryClient::absorb_delta(
     ++last_read_delta_;
     read_stats_.ops_shipped += reply.ops().size();
     // Delta cache hit: the host shipped only the ops since our cursor.
-    metrics_.add("store.client.delta_cache_hits");
-    metrics_.add("store.client.fragment_reads_delta");
-    metrics_.add("store.client.ops_shipped", reply.ops().size());
+    metrics_.add(kMetrics.delta_cache_hits);
+    metrics_.add(kMetrics.fragment_reads_delta);
+    metrics_.add(kMetrics.ops_shipped, reply.ops().size());
     // Replaying the host's ops over the previous materialisation reproduces
     // the host's member order exactly (MemberList is the same structure the
     // server mutates), so a delta-synced read and a full read of the same
@@ -239,9 +263,9 @@ const std::vector<ObjectRef>& RepositoryClient::absorb_delta(
     read_stats_.members_shipped += reply.members().size();
     // Delta cache miss (first contact, host switch, or truncated server
     // log): the host resynced us with a full snapshot.
-    metrics_.add("store.client.delta_cache_misses");
-    metrics_.add("store.client.fragment_reads_full");
-    metrics_.add("store.client.members_shipped", reply.members().size());
+    metrics_.add(kMetrics.delta_cache_misses);
+    metrics_.add(kMetrics.fragment_reads_full);
+    metrics_.add(kMetrics.members_shipped, reply.members().size());
     // A snapshot install is wholesale: members, version and cursor are one
     // consistent host state, even if an overlapping absorb left the entry
     // ahead of it (the next delta read simply catches up from here).
@@ -272,7 +296,7 @@ Task<Result<std::vector<ObjectRef>>> RepositoryClient::read_all_attempt(
   Simulator& sim = repo_.sim();
   const SimTime start = sim.now();
   ++read_stats_.read_alls;
-  metrics_.add("store.client.read_alls");
+  metrics_.add(kMetrics.read_alls);
   last_read_full_ = 0;
   last_read_delta_ = 0;
 
@@ -356,16 +380,15 @@ Task<Result<std::vector<ObjectRef>>> RepositoryClient::read_all_attempt(
       ++last_read_full_;
       read_stats_.members_shipped += slot.value().entry_count();
       // Cache-bypassing full read (quorum policy, or delta reads disabled).
-      metrics_.add("store.client.fragment_reads_full");
-      metrics_.add("store.client.members_shipped",
-                   slot.value().entry_count());
+      metrics_.add(kMetrics.fragment_reads_full);
+      metrics_.add(kMetrics.members_shipped, slot.value().entry_count());
       std::vector<ObjectRef> part = std::move(slot).value().take_members();
       members.insert(members.end(), part.begin(), part.end());
       VectorPool<ObjectRef>::release(std::move(part));
     }
   }
   read_stats_.read_all_time = read_stats_.read_all_time + (sim.now() - start);
-  metrics_.record("store.client.read_all_latency_ns", sim.now() - start);
+  metrics_.record(kMetrics.read_all_latency_ns, sim.now() - start);
   if (first_failure) co_return std::move(*first_failure);
   co_return members;
 }
@@ -373,7 +396,7 @@ Task<Result<std::vector<ObjectRef>>> RepositoryClient::read_all_attempt(
 Task<Result<std::vector<ObjectRef>>> RepositoryClient::snapshot_atomic(
     CollectionId id, std::function<void()> on_cut) {
   const SimTime start = repo_.sim().now();
-  metrics_.add("store.client.snapshots_atomic");
+  metrics_.add(kMetrics.snapshots_atomic);
   auto frozen = co_await freeze_all(id);
   if (!frozen) co_return std::move(frozen).error();
   // Read the primaries directly: they are frozen, so the union of fragment
@@ -398,7 +421,7 @@ Task<Result<std::vector<ObjectRef>>> RepositoryClient::snapshot_atomic(
     if (on_cut) on_cut();
   }
   co_await unfreeze_all(id);
-  metrics_.record("store.client.snapshot_atomic_latency_ns",
+  metrics_.record(kMetrics.snapshot_atomic_latency_ns,
                   repo_.sim().now() - start);
   co_return outcome;
 }
@@ -442,7 +465,7 @@ Task<Result<bool>> RepositoryClient::mutate(CollectionId id, ObjectRef ref,
       }
       Failure last{FailureKind::kUnreachable, "no reachable host"};
       for (std::size_t i = 0; i < hosts.size(); ++i) {
-        if (i > 0) metrics_.add("store.client.orset_write_failovers");
+        if (i > 0) metrics_.add(kMetrics.orset_write_failovers);
         auto reply = co_await call<msg::MembershipReply>(
             hosts[i].second, methods_.membership,
             msg::MembershipRequest{id, ref, op});
@@ -514,9 +537,9 @@ Task<std::vector<Result<VersionedValue>>> RepositoryClient::fetch_many(
   // heap-shared (cf. read_fragment_quorum).
   Simulator& sim = repo_.sim();
   auto arrivals = std::make_shared<AsyncQueue<BatchArrival>>(sim);
-  metrics_.add("store.client.fetch_manys");
-  metrics_.add("store.client.fetch_batch_rpcs", homes.size());
-  metrics_.record_value("store.client.fetch_many_size",
+  metrics_.add(kMetrics.fetch_manys);
+  metrics_.add(kMetrics.fetch_batch_rpcs, homes.size());
+  metrics_.record_value(kMetrics.fetch_many_size,
                         static_cast<std::int64_t>(refs.size()));
   for (std::size_t g = 0; g < homes.size(); ++g) {
     std::vector<ObjectId> ids;

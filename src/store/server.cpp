@@ -12,6 +12,59 @@
 namespace weakset {
 namespace {
 
+/// This module's telemetry names, interned once per process.
+struct ServerMetrics {
+  obs::CounterId placement_fragments_adopted{"placement.fragments_adopted"};
+  obs::CounterId placement_fragments_retired{"placement.fragments_retired"};
+  obs::CounterId placement_handoff_forward_failures{
+      "placement.handoff_forward_failures"};
+  obs::CounterId placement_handoff_forwards{"placement.handoff_forwards"};
+  obs::CounterId orset_pull_entries_shipped{"store.orset.pull_entries_shipped"};
+  obs::CounterId orset_pull_failures{"store.orset.pull_failures"};
+  obs::CounterId orset_pull_ops_applied{"store.orset.pull_ops_applied"};
+  obs::CounterId orset_pull_rounds{"store.orset.pull_rounds"};
+  obs::CounterId orset_pull_snapshots{"store.orset.pull_snapshots"};
+  obs::CounterId orset_pulls_served{"store.orset.pulls_served"};
+  obs::CounterId orset_push_ops_applied{"store.orset.push_ops_applied"};
+  obs::CounterId orset_push_syncs{"store.orset.push_syncs"};
+  obs::CounterId orset_pushes{"store.orset.pushes"};
+  obs::CounterId orset_snapshot_joins{"store.orset.snapshot_joins"};
+  obs::CounterId replica_pull_failures{"store.replica.pull_failures"};
+  obs::CounterId replica_pull_ops_applied{"store.replica.pull_ops_applied"};
+  obs::CounterId replica_pull_rounds{"store.replica.pull_rounds"};
+  obs::CounterId replica_push_ops_applied{"store.replica.push_ops_applied"};
+  obs::CounterId replica_push_syncs{"store.replica.push_syncs"};
+  obs::CounterId replica_snapshot_installs{"store.replica.snapshot_installs"};
+  obs::CounterId server_adds_applied{"store.server.adds_applied"};
+  obs::CounterId server_amnesia_crashes{"store.server.amnesia_crashes"};
+  obs::CounterId server_batch_fetches{"store.server.batch_fetches"};
+  obs::CounterId server_batch_objects{"store.server.batch_objects"};
+  obs::CounterId server_delta_ops_shipped{"store.server.delta_ops_shipped"};
+  obs::CounterId server_delta_reads{"store.server.delta_reads"};
+  obs::CounterId server_delta_resyncs{"store.server.delta_resyncs"};
+  obs::CounterId server_fetches{"store.server.fetches"};
+  obs::CounterId server_mutations_deferred{"store.server.mutations_deferred"};
+  obs::CounterId server_pull_ops_shipped{"store.server.pull_ops_shipped"};
+  obs::CounterId server_pull_snapshots{"store.server.pull_snapshots"};
+  obs::CounterId server_pulls_served{"store.server.pulls_served"};
+  obs::CounterId server_pushes{"store.server.pushes"};
+  obs::CounterId server_removes_applied{"store.server.removes_applied"};
+  obs::CounterId server_ship_cost_ns{"store.server.ship_cost_ns"};
+  obs::CounterId server_snapshot_members_shipped{
+      "store.server.snapshot_members_shipped"};
+  obs::CounterId server_snapshot_reads{"store.server.snapshot_reads"};
+  obs::CounterId wal_checkpoints{"wal.checkpoints"};
+  obs::CounterId wal_ops_replayed{"wal.ops_replayed"};
+  obs::CounterId wal_records_lost{"wal.records_lost"};
+  obs::CounterId wal_recoveries{"wal.recoveries"};
+  obs::CounterId wal_torn_tails_detected{"wal.torn_tails_detected"};
+  obs::HistogramId server_batch_size{"store.server.batch_size"};
+  obs::HistogramId wal_checkpoint{"wal.checkpoint"};
+  obs::HistogramId wal_checkpoint_bytes{"wal.checkpoint_bytes"};
+  obs::HistogramId wal_recovery{"wal.recovery"};
+};
+const ServerMetrics kMetrics{};
+
 // Durable object names on the per-server SimDisk.
 constexpr const char kWalFile[] = "wal";
 constexpr const char kCheckpointFile[] = "checkpoint";
@@ -173,7 +226,7 @@ void StoreServer::register_handlers() {
         }
         if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
         CollectionState* state = &entry->state;
-        metrics_.add("store.replica.push_syncs");
+        metrics_.add(kMetrics.replica_push_syncs);
         // An incarnation mismatch (one side recovered from amnesia) means
         // the ops belong to a different sequence stream: apply nothing and
         // report our incarnation so the primary stops pushing; pull
@@ -193,7 +246,7 @@ void StoreServer::register_handlers() {
             if (op.seq() <= state->applied_seq()) continue;
             if (op.seq() != state->applied_seq() + 1) break;
             state->apply(op);
-            metrics_.add("store.replica.push_ops_applied");
+            metrics_.add(kMetrics.replica_push_ops_applied);
           }
         }
         VectorPool<CollectionOp>::release(std::move(req).take_ops());
@@ -375,7 +428,7 @@ void StoreServer::retire_collection(CollectionId id, NodeId target,
                          directory_epoch, entry.state.incarnation()));
     arm_checkpoint();  // the next checkpoint drops the tombstoned state
   }
-  metrics_.add("placement.fragments_retired");
+  metrics_.add(kMetrics.placement_fragments_retired);
 }
 
 CollectionState& StoreServer::adopt_primary(CollectionId id,
@@ -400,7 +453,7 @@ CollectionState& StoreServer::adopt_primary(CollectionId id,
   // engine writes right after this makes the adoption durable.
   entry->state.restore(std::move(members), image.version, image.last_seq,
                        image.applied_seq, image.incarnation);
-  metrics_.add("placement.fragments_adopted");
+  metrics_.add(kMetrics.placement_fragments_adopted);
   return entry->state;
 }
 
@@ -420,14 +473,14 @@ Task<void> StoreServer::pull_loop(CollectionId id, NodeId primary) {
     if (!serving_) continue;  // recovering: resume pulling afterwards
     CollectionState* state = collection(id);
     if (state == nullptr) co_return;  // unhosted; stop the daemon
-    metrics_.add("store.replica.pull_rounds");
+    metrics_.add(kMetrics.replica_pull_rounds);
     const std::uint64_t epoch = epoch_;
     auto reply = co_await net_.call_typed<msg::PullReply>(
         node_, primary, "coll.pull",
         msg::PullRequest{id, state->applied_seq(), state->incarnation()});
     if (epoch != epoch_) continue;  // crashed meanwhile: the reply is stale
     if (!reply) {
-      metrics_.add("store.replica.pull_failures");
+      metrics_.add(kMetrics.replica_pull_failures);
       continue;  // primary unreachable; retry next round
     }
     state = collection(id);  // re-resolve: the map may have changed under
@@ -436,7 +489,7 @@ Task<void> StoreServer::pull_loop(CollectionId id, NodeId primary) {
       // The primary's log was truncated past our cursor (or the sequence
       // stream changed incarnation): install the full membership and resume
       // op-by-op from its seq.
-      metrics_.add("store.replica.snapshot_installs");
+      metrics_.add(kMetrics.replica_snapshot_installs);
       const std::uint64_t version = reply.value().version();
       const std::uint64_t seq = reply.value().seq();
       const std::uint64_t incarnation = reply.value().incarnation();
@@ -459,7 +512,7 @@ Task<void> StoreServer::pull_loop(CollectionId id, NodeId primary) {
       if (op.seq() <= state->applied_seq()) continue;
       if (op.seq() != state->applied_seq() + 1) break;
       state->apply(op);
-      metrics_.add("store.replica.pull_ops_applied");
+      metrics_.add(kMetrics.replica_pull_ops_applied);
     }
     VectorPool<CollectionOp>::release(std::move(reply).value().take_ops());
   }
@@ -474,7 +527,7 @@ Task<Result<Payload>> StoreServer::handle_fetch(NodeId /*from*/,
   if (!serving_) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
-  metrics_.add("store.server.fetches");
+  metrics_.add(kMetrics.server_fetches);
   co_await net_.sim().delay(options_.object_read_latency);
   const auto value = objects_.get(req.id());
   if (!value) {
@@ -490,9 +543,9 @@ Task<Result<Payload>> StoreServer::handle_fetch_batch(NodeId /*from*/,
   if (!serving_) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
-  metrics_.add("store.server.batch_fetches");
-  metrics_.add("store.server.batch_objects", req.ids().size());
-  metrics_.record_value("store.server.batch_size",
+  metrics_.add(kMetrics.server_batch_fetches);
+  metrics_.add(kMetrics.server_batch_objects, req.ids().size());
+  metrics_.record_value(kMetrics.server_batch_size,
                         static_cast<std::int64_t>(req.ids().size()));
   // Overlapped disk reads: the first object pays the full read latency, each
   // further object only the incremental cost of another read in the queue.
@@ -562,9 +615,10 @@ Task<Result<Payload>> StoreServer::handle_snapshot(NodeId from,
     // trade the mode buys).
     const Duration orset_cost = options_.membership_entry_cost *
                                 static_cast<std::int64_t>(entry->orset->size());
-    metrics_.add("store.server.snapshot_reads");
-    metrics_.add("store.server.snapshot_members_shipped", entry->orset->size());
-    metrics_.add("store.server.ship_cost_ns",
+    metrics_.add(kMetrics.server_snapshot_reads);
+    metrics_.add(kMetrics.server_snapshot_members_shipped,
+                 entry->orset->size());
+    metrics_.add(kMetrics.server_ship_cost_ns,
                  static_cast<std::uint64_t>(orset_cost.count_nanos()));
     co_await net_.sim().delay(orset_cost);
     if (epoch != epoch_) {
@@ -582,9 +636,9 @@ Task<Result<Payload>> StoreServer::handle_snapshot(NodeId from,
   // avoid (coll.read_delta charges per *change* instead).
   const Duration ship_cost = options_.membership_entry_cost *
                              static_cast<std::int64_t>(state->size());
-  metrics_.add("store.server.snapshot_reads");
-  metrics_.add("store.server.snapshot_members_shipped", state->size());
-  metrics_.add("store.server.ship_cost_ns",
+  metrics_.add(kMetrics.server_snapshot_reads);
+  metrics_.add(kMetrics.server_snapshot_members_shipped, state->size());
+  metrics_.add(kMetrics.server_ship_cost_ns,
                static_cast<std::uint64_t>(ship_cost.count_nanos()));
   co_await net_.sim().delay(ship_cost);
   if (epoch != epoch_) {
@@ -632,9 +686,10 @@ Task<Result<Payload>> StoreServer::handle_read_delta(NodeId from,
     // version purely as a change hint.
     const Duration orset_cost = options_.membership_entry_cost *
                                 static_cast<std::int64_t>(entry->orset->size());
-    metrics_.add("store.server.delta_resyncs");
-    metrics_.add("store.server.snapshot_members_shipped", entry->orset->size());
-    metrics_.add("store.server.ship_cost_ns",
+    metrics_.add(kMetrics.server_delta_resyncs);
+    metrics_.add(kMetrics.server_snapshot_members_shipped,
+                 entry->orset->size());
+    metrics_.add(kMetrics.server_ship_cost_ns,
                  static_cast<std::uint64_t>(orset_cost.count_nanos()));
     co_await net_.sim().delay(orset_cost);
     if (epoch != epoch_) {
@@ -668,9 +723,9 @@ Task<Result<Payload>> StoreServer::handle_read_delta(NodeId from,
   if (!can_delta) {
     const Duration ship_cost = options_.membership_entry_cost *
                                static_cast<std::int64_t>(state->size());
-    metrics_.add("store.server.delta_resyncs");
-    metrics_.add("store.server.snapshot_members_shipped", state->size());
-    metrics_.add("store.server.ship_cost_ns",
+    metrics_.add(kMetrics.server_delta_resyncs);
+    metrics_.add(kMetrics.server_snapshot_members_shipped, state->size());
+    metrics_.add(kMetrics.server_ship_cost_ns,
                  static_cast<std::uint64_t>(ship_cost.count_nanos()));
     co_await net_.sim().delay(ship_cost);
     if (epoch != epoch_) {
@@ -698,9 +753,9 @@ Task<Result<Payload>> StoreServer::handle_read_delta(NodeId from,
   state->ops_since(req.since_seq(), ops);
   const Duration ship_cost =
       options_.membership_entry_cost * static_cast<std::int64_t>(ops.size());
-  metrics_.add("store.server.delta_reads");
-  metrics_.add("store.server.delta_ops_shipped", ops.size());
-  metrics_.add("store.server.ship_cost_ns",
+  metrics_.add(kMetrics.server_delta_reads);
+  metrics_.add(kMetrics.server_delta_ops_shipped, ops.size());
+  metrics_.add(kMetrics.server_ship_cost_ns,
                static_cast<std::uint64_t>(ship_cost.count_nanos()));
   co_await net_.sim().delay(ship_cost);
   if (epoch != epoch_) {
@@ -759,7 +814,7 @@ Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
   if (!is_add && entry.pin_count > 0) {
     // Grow-only pin active: the removal is accepted but deferred; the member
     // lingers as a "ghost" until the last pin is released (section 3.3).
-    metrics_.add("store.server.mutations_deferred");
+    metrics_.add(kMetrics.server_mutations_deferred);
     entry.deferred_removes.push_back(req.ref());
     const bool present = entry.orset != nullptr
                              ? entry.orset->contains(req.ref())
@@ -786,8 +841,8 @@ Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
                                   : CollectionOp::Kind::kRemove,
                            req.ref());
       }
-      metrics_.add(is_add ? "store.server.adds_applied"
-                          : "store.server.removes_applied");
+      metrics_.add(is_add ? kMetrics.server_adds_applied
+                          : kMetrics.server_removes_applied);
       trigger_orset_pushes(req.id());
       if (options_.durability.enabled && options_.durability.durable_acks) {
         const bool durable = co_await wal_->wait_durable(orset_wal_index);
@@ -821,8 +876,8 @@ Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
   }
   const std::uint64_t version = entry.state.version();
   if (changed) {
-    metrics_.add(is_add ? "store.server.adds_applied"
-                        : "store.server.removes_applied");
+    metrics_.add(is_add ? kMetrics.server_adds_applied
+                        : kMetrics.server_removes_applied);
     trigger_pushes(req.id());
     if (entry.handoff_target.valid()) {
       // Dual-home window (DESIGN.md decision 12): forward the committed op
@@ -833,7 +888,7 @@ Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
       const CollectionOp op{is_add ? CollectionOp::Kind::kAdd
                                    : CollectionOp::Kind::kRemove,
                             req.ref(), entry.state.last_seq()};
-      metrics_.add("placement.handoff_forwards");
+      metrics_.add(kMetrics.placement_handoff_forwards);
       auto forwarded = co_await net_.call_typed<msg::HandoffApplyReply>(
           node_, target, "mig.apply",
           msg::HandoffApplyRequest{req.id(), op, entry.state.incarnation()});
@@ -845,7 +900,7 @@ Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
         // The migration's finish step fails its completeness check and the
         // whole attempt aborts; the directory was never bumped.
         entry.handoff_target = NodeId::invalid();
-        metrics_.add("placement.handoff_forward_failures");
+        metrics_.add(kMetrics.placement_handoff_forward_failures);
       }
     }
     if (options_.durability.enabled && options_.durability.durable_acks) {
@@ -1023,7 +1078,7 @@ Task<void> StoreServer::push_to(CollectionId id, Hosted::PushTarget& target) {
       break;  // log truncated past the target's cursor: pull will snapshot
     }
     const std::uint64_t before = target.acked_seq;
-    metrics_.add("store.server.pushes");
+    metrics_.add(kMetrics.server_pushes);
     std::vector<CollectionOp> ops = VectorPool<CollectionOp>::acquire();
     entry.state.ops_since(target.acked_seq, ops);
     auto reply = co_await net_.call_typed<msg::SyncReply>(
@@ -1063,7 +1118,7 @@ Task<Result<Payload>> StoreServer::handle_pull(NodeId /*from*/,
   }
   if (pull_entry->retired) co_return wrong_epoch(pull_entry->retired_epoch);
   CollectionState* state = &pull_entry->state;
-  metrics_.add("store.server.pulls_served");
+  metrics_.add(kMetrics.server_pulls_served);
   // A replica that fell behind the bounded log window cannot catch up op by
   // op any more — and one whose cursor belongs to another incarnation
   // (amnesia recovery on either side) cannot catch up at all: send the
@@ -1072,9 +1127,9 @@ Task<Result<Payload>> StoreServer::handle_pull(NodeId /*from*/,
       !state->can_serve_ops_since(req.after_seq())) {
     const Duration ship_cost = options_.membership_entry_cost *
                                static_cast<std::int64_t>(state->size());
-    metrics_.add("store.server.pull_snapshots");
-    metrics_.add("store.server.snapshot_members_shipped", state->size());
-    metrics_.add("store.server.ship_cost_ns",
+    metrics_.add(kMetrics.server_pull_snapshots);
+    metrics_.add(kMetrics.server_snapshot_members_shipped, state->size());
+    metrics_.add(kMetrics.server_ship_cost_ns,
                  static_cast<std::uint64_t>(ship_cost.count_nanos()));
     co_await net_.sim().delay(ship_cost);
     if (epoch != epoch_) {
@@ -1095,8 +1150,8 @@ Task<Result<Payload>> StoreServer::handle_pull(NodeId /*from*/,
   const std::uint64_t incarnation = state->incarnation();
   const Duration ship_cost =
       options_.membership_entry_cost * static_cast<std::int64_t>(ops.size());
-  metrics_.add("store.server.pull_ops_shipped", ops.size());
-  metrics_.add("store.server.ship_cost_ns",
+  metrics_.add(kMetrics.server_pull_ops_shipped, ops.size());
+  metrics_.add(kMetrics.server_ship_cost_ns,
                static_cast<std::uint64_t>(ship_cost.count_nanos()));
   co_await net_.sim().delay(ship_cost);
   if (epoch != epoch_) {
@@ -1141,7 +1196,7 @@ Task<void> StoreServer::orset_pull_loop(CollectionId id) {
       entry = find_entry(id);
       if (entry == nullptr || entry->orset == nullptr) co_return;
       const Hosted::OrSetCursor cursor = entry->orset_cursors[peer];
-      metrics_.add("store.orset.pull_rounds");
+      metrics_.add(kMetrics.orset_pull_rounds);
       const std::uint64_t epoch = epoch_;
       // Bounded timeout: a partition that cuts the link while a pull is in
       // flight drops the message, and fast-fail only covers dead-at-send
@@ -1155,7 +1210,7 @@ Task<void> StoreServer::orset_pull_loop(CollectionId id) {
       entry = find_entry(id);
       if (entry == nullptr || entry->orset == nullptr) co_return;
       if (!reply) {
-        metrics_.add("store.orset.pull_failures");
+        metrics_.add(kMetrics.orset_pull_failures);
         continue;  // peer unreachable (partition): retry next round
       }
       const msg::OrSetPullReply& r = reply.value();
@@ -1163,7 +1218,7 @@ Task<void> StoreServer::orset_pull_loop(CollectionId id) {
         // Cursor expired (bounded log) or the peer restarted with amnesia:
         // merge its full state. join() expresses every state change as a
         // dot op, which we WAL like any remote delivery.
-        metrics_.add("store.orset.snapshot_joins");
+        metrics_.add(kMetrics.orset_snapshot_joins);
         const crdt::DotContext remote_ctx =
             crdt::DotContext::from_parts(r.context_vector(), r.context_cloud());
         std::vector<crdt::DotOp> remote_live;
@@ -1174,13 +1229,13 @@ Task<void> StoreServer::orset_pull_loop(CollectionId id) {
         const std::vector<crdt::DotOp> applied =
             entry->orset->join(remote_ctx, remote_live);
         for (const crdt::DotOp& op : applied) orset_wal_append(*entry, op);
-        metrics_.add("store.orset.pull_ops_applied", applied.size());
+        metrics_.add(kMetrics.orset_pull_ops_applied, applied.size());
       } else {
         for (const msg::OrSetWireOp& wire : r.ops()) {
           const crdt::DotOp op = from_wire(wire);
           if (entry->orset->apply(op)) {
             orset_wal_append(*entry, op);
-            metrics_.add("store.orset.pull_ops_applied");
+            metrics_.add(kMetrics.orset_pull_ops_applied);
           }
         }
       }
@@ -1216,7 +1271,7 @@ Task<void> StoreServer::orset_push_to(CollectionId id,
       break;
     }
     const std::uint64_t before = target.acked_seq;
-    metrics_.add("store.orset.pushes");
+    metrics_.add(kMetrics.orset_pushes);
     const std::uint64_t start_seq = target.acked_seq + 1;
     const std::uint64_t log_floor =
         entry.orset_last_seq - entry.orset_log.size();
@@ -1254,7 +1309,7 @@ Task<Result<Payload>> StoreServer::handle_orset_pull(NodeId /*from*/,
     co_return Failure{FailureKind::kNotFound, "collection not hosted"};
   }
   if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-  metrics_.add("store.orset.pulls_served");
+  metrics_.add(kMetrics.orset_pulls_served);
   const std::uint64_t incarnation = entry->state.incarnation();
   const std::uint64_t log_floor = entry->orset_last_seq -
                                   entry->orset_log.size();
@@ -1279,9 +1334,9 @@ Task<Result<Payload>> StoreServer::handle_orset_pull(NodeId /*from*/,
         live.size() + ctx_vector.size() + ctx_cloud.size();
     const Duration ship_cost = options_.membership_entry_cost *
                                static_cast<std::int64_t>(entries);
-    metrics_.add("store.orset.pull_snapshots");
-    metrics_.add("store.orset.pull_entries_shipped", entries);
-    metrics_.add("store.server.ship_cost_ns",
+    metrics_.add(kMetrics.orset_pull_snapshots);
+    metrics_.add(kMetrics.orset_pull_entries_shipped, entries);
+    metrics_.add(kMetrics.server_ship_cost_ns,
                  static_cast<std::uint64_t>(ship_cost.count_nanos()));
     co_await net_.sim().delay(ship_cost);
     if (epoch != epoch_) {
@@ -1302,8 +1357,8 @@ Task<Result<Payload>> StoreServer::handle_orset_pull(NodeId /*from*/,
   const std::uint64_t end_seq = entry->orset_last_seq;
   const Duration ship_cost = options_.membership_entry_cost *
                              static_cast<std::int64_t>(ops.size());
-  metrics_.add("store.orset.pull_entries_shipped", ops.size());
-  metrics_.add("store.server.ship_cost_ns",
+  metrics_.add(kMetrics.orset_pull_entries_shipped, ops.size());
+  metrics_.add(kMetrics.server_ship_cost_ns,
                static_cast<std::uint64_t>(ship_cost.count_nanos()));
   co_await net_.sim().delay(ship_cost);
   if (epoch != epoch_) {
@@ -1329,14 +1384,14 @@ Task<Result<Payload>> StoreServer::handle_orset_sync(NodeId /*from*/,
     co_return Failure{FailureKind::kNotFound, "collection not hosted"};
   }
   if (entry->retired) co_return wrong_epoch(entry->retired_epoch);
-  metrics_.add("store.orset.push_syncs");
+  metrics_.add(kMetrics.orset_push_syncs);
   // Dot ops are idempotent: apply everything, no contiguity requirement.
   // (The pusher's seq range exists only to drive its ack cursor.)
   for (const msg::OrSetWireOp& wire : req.ops()) {
     const crdt::DotOp op = from_wire(wire);
     if (entry->orset->apply(op)) {
       orset_wal_append(*entry, op);
-      metrics_.add("store.orset.push_ops_applied");
+      metrics_.add(kMetrics.orset_push_ops_applied);
     }
   }
   // Ack the last seq this request covered (start_seq - 1 when it was empty —
@@ -1487,7 +1542,7 @@ Task<bool> StoreServer::write_checkpoint(std::uint64_t epoch) {
     if (!ok || epoch != epoch_) co_return false;
   }
   std::string bytes = wal::encode(image);
-  metrics_.record_value("wal.checkpoint_bytes",
+  metrics_.record_value(kMetrics.wal_checkpoint_bytes,
                         static_cast<std::int64_t>(bytes.size()));
   const bool written = co_await disk_->write_file(kCheckpointFile,
                                                   std::move(bytes));
@@ -1499,14 +1554,14 @@ Task<bool> StoreServer::write_checkpoint(std::uint64_t epoch) {
     disk_->truncate_log_prefix(kWalFile, wal_mark);
     wal_->notify_progress();
   }
-  metrics_.add("wal.checkpoints");
-  metrics_.record("wal.checkpoint", net_.sim().now() - start);
+  metrics_.add(kMetrics.wal_checkpoints);
+  metrics_.record(kMetrics.wal_checkpoint, net_.sim().now() - start);
   co_return true;
 }
 
 void StoreServer::on_crash(Topology::CrashKind kind) {
   if (kind != Topology::CrashKind::kAmnesia) return;
-  metrics_.add("store.server.amnesia_crashes");
+  metrics_.add(kMetrics.server_amnesia_crashes);
   ++epoch_;
   serving_ = false;
   wiped_ = true;
@@ -1777,11 +1832,11 @@ Task<void> StoreServer::recover(std::uint64_t epoch) {
   }
   wiped_ = false;
   serving_ = true;
-  metrics_.add("wal.recoveries");
-  metrics_.record("wal.recovery", net_.sim().now() - start);
-  metrics_.add("wal.ops_replayed", plan_.ops_replayed);
-  metrics_.add("wal.records_lost", plan_.records_lost);
-  metrics_.add("wal.torn_tails_detected", plan_.torn_tails);
+  metrics_.add(kMetrics.wal_recoveries);
+  metrics_.record(kMetrics.wal_recovery, net_.sim().now() - start);
+  metrics_.add(kMetrics.wal_ops_replayed, plan_.ops_replayed);
+  metrics_.add(kMetrics.wal_records_lost, plan_.records_lost);
+  metrics_.add(kMetrics.wal_torn_tails_detected, plan_.torn_tails);
 }
 
 }  // namespace weakset

@@ -5,6 +5,17 @@
 namespace weakset::wal {
 namespace {
 
+/// This module's telemetry names, interned once per process.
+struct WalMetrics {
+  obs::CounterId appends{"wal.appends"};
+  obs::CounterId fsyncs{"wal.fsyncs"};
+  obs::CounterId records_synced{"wal.records_synced"};
+  obs::HistogramId append_bytes{"wal.append_bytes"};
+  obs::HistogramId commit{"wal.commit"};
+  obs::HistogramId fsync{"wal.fsync"};
+};
+const WalMetrics kMetrics{};
+
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -132,8 +143,8 @@ WalWriter::WalWriter(Simulator& sim, SimDisk& disk, std::string file,
 std::uint64_t WalWriter::append(const WalRecord& rec) {
   std::string bytes = encode(rec);
   if (metrics_) {
-    metrics_->add("wal.appends");
-    metrics_->record_value("wal.append_bytes",
+    metrics_->add(kMetrics.appends);
+    metrics_->record_value(kMetrics.append_bytes,
                            static_cast<std::int64_t>(bytes.size()));
   }
   if (!oldest_pending_at_) oldest_pending_at_ = sim_.now();
@@ -175,13 +186,13 @@ Task<void> WalWriter::flush(std::uint64_t gen) {
     const std::uint64_t after = co_await disk_.sync(file_);
     if (crash_generation_ != gen) co_return;  // stale: touch nothing
     if (metrics_) {
-      metrics_->add("wal.fsyncs");
-      metrics_->record("wal.fsync", sim_.now() - start);
-      metrics_->add("wal.records_synced", after - before);
+      metrics_->add(kMetrics.fsyncs);
+      metrics_->record(kMetrics.fsync, sim_.now() - start);
+      metrics_->add(kMetrics.records_synced, after - before);
     }
   }
   if (metrics_ && oldest_pending_at_) {
-    metrics_->record("wal.commit", sim_.now() - *oldest_pending_at_);
+    metrics_->record(kMetrics.commit, sim_.now() - *oldest_pending_at_);
   }
   oldest_pending_at_.reset();
   flush_running_ = false;

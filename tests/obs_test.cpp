@@ -246,6 +246,59 @@ TEST(Spans, RetentionCapDropsLateSpansButKeepsCounting) {
   EXPECT_EQ(ids.back(), 5u);
 }
 
+TEST(Spans, CapFilledWhileSpansAreOpen) {
+  MetricsRegistry r;
+  r.set_span_cap(2);
+  // Opened while the log has room; closed after it filled.
+  const std::uint64_t early_a = r.begin_span("early", "p", SimTime{1});
+  const std::uint64_t early_b = r.begin_span("early", "p", SimTime{2});
+  const std::uint64_t first = r.begin_span("first", "p", SimTime{3});
+  const std::uint64_t second = r.begin_span("second", "p", SimTime{4});
+  r.end_span(first, SimTime{5}, "ok");
+  r.end_span(second, SimTime{6}, "ok");
+  // The log is full: these open without their names and are never kept.
+  const std::uint64_t late = r.begin_span("late", "p", SimTime{7});
+  r.end_span(early_a, SimTime{8}, "ok");
+  r.end_span(late, SimTime{9}, "failed");
+  r.end_span(early_b, SimTime{10}, "timeout");
+  // Unknown and twice-closed ids are ignored.
+  r.end_span(999, SimTime{11}, "ok");
+  r.end_span(first, SimTime{12}, "ok");
+  r.end_span(late, SimTime{13}, "ok");
+
+  ASSERT_EQ(r.retained_spans().size(), 2u);
+  EXPECT_EQ(r.retained_spans()[0].op, "first");
+  EXPECT_EQ(r.retained_spans()[0].end, SimTime{5});
+  EXPECT_EQ(r.retained_spans()[1].op, "second");
+  EXPECT_EQ(r.spans_started(), 5u);
+  EXPECT_EQ(r.spans_finished(), 5u);
+  EXPECT_EQ(r.spans_dropped(), 3u);
+  EXPECT_EQ(late, 5u);
+
+  // Raising the cap does not revive a span opened while the log was full;
+  // one opened after the raise is kept.
+  const std::uint64_t before_raise =
+      r.begin_span("before_raise", "p", SimTime{14});
+  r.set_span_cap(3);
+  const std::uint64_t after_raise =
+      r.begin_span("after_raise", "p", SimTime{15});
+  r.end_span(before_raise, SimTime{16}, "ok");
+  r.end_span(after_raise, SimTime{17}, "ok");
+  ASSERT_EQ(r.retained_spans().size(), 3u);
+  EXPECT_EQ(r.retained_spans()[2].op, "after_raise");
+  EXPECT_EQ(r.spans_dropped(), 4u);
+
+  // Recycled span storage keeps ids, names and order exact after clear().
+  r.clear();
+  const std::uint64_t again = r.begin_span("again", "q", SimTime{20});
+  r.end_span(again, SimTime{21}, "ok");
+  ASSERT_EQ(r.retained_spans().size(), 1u);
+  EXPECT_EQ(again, 1u);
+  EXPECT_EQ(r.retained_spans()[0].op, "again");
+  EXPECT_EQ(r.retained_spans()[0].peer, "q");
+  EXPECT_EQ(r.retained_spans()[0].outcome, "ok");
+}
+
 // -- export determinism ------------------------------------------------------
 
 /// Feeds one seeded workload into a registry (counters, histograms, spans —
@@ -256,6 +309,25 @@ void record_workload(MetricsRegistry& r, std::uint64_t seed) {
     r.add("events");
     r.add("batch", rng.uniform(4));
     r.record_value("lat_ns", static_cast<std::int64_t>(rng.uniform(1 << 20)));
+    if (i % 3 == 0) {
+      const auto id = r.begin_span("op", "peer" + std::to_string(i % 4),
+                                   SimTime{static_cast<std::int64_t>(i)});
+      r.end_span(id, SimTime{static_cast<std::int64_t>(i + 1)},
+                 rng.bernoulli(0.1) ? "failed" : "ok");
+    }
+  }
+}
+
+/// record_workload() recorded through interned ids instead of names.
+void record_workload_by_id(MetricsRegistry& r, std::uint64_t seed) {
+  const CounterId events{"events"};
+  const CounterId batch{"batch"};
+  const HistogramId lat_ns{"lat_ns"};
+  Rng rng{seed};
+  for (int i = 0; i < 200; ++i) {
+    r.add(events);
+    r.add(batch, rng.uniform(4));
+    r.record_value(lat_ns, static_cast<std::int64_t>(rng.uniform(1 << 20)));
     if (i % 3 == 0) {
       const auto id = r.begin_span("op", "peer" + std::to_string(i % 4),
                                    SimTime{static_cast<std::int64_t>(i)});
@@ -287,6 +359,79 @@ TEST(Export, ClearResetsEverything) {
   r.clear();
   const MetricsRegistry empty;
   EXPECT_EQ(r.to_json(), empty.to_json());
+}
+
+// -- interned ids ------------------------------------------------------------
+
+TEST(InternedIds, RecordingByIdOrByNameExportsTheSameBytes) {
+  MetricsRegistry by_name;
+  MetricsRegistry by_id;
+  record_workload(by_name, 7);
+  record_workload_by_id(by_id, 7);
+  EXPECT_EQ(by_id.to_json(), by_name.to_json());
+  EXPECT_EQ(by_id.counter("events"), 200u);
+  EXPECT_EQ(by_id.counter(CounterId{"events"}), 200u);
+  EXPECT_EQ(by_id.histogram("lat_ns"), by_id.histogram(HistogramId{"lat_ns"}));
+}
+
+TEST(InternedIds, OneNameOneId) {
+  EXPECT_EQ(CounterId{"ids.same"}.index(), CounterId{"ids.same"}.index());
+  EXPECT_NE(CounterId{"ids.same"}.index(), CounterId{"ids.other"}.index());
+  EXPECT_EQ(HistogramId{"ids.same"}.index(), HistogramId{"ids.same"}.index());
+}
+
+TEST(InternedIds, UntouchedIdIsAbsentButZeroAddIsExported) {
+  MetricsRegistry r;
+  const CounterId never{"ids.never_recorded"};
+  const HistogramId never_hist{"ids.never_recorded_ns"};
+  const CounterId zero{"ids.zero"};
+  r.add(zero, 0);
+  r.add("ids.zero_by_name", 0);
+  const std::string json = r.to_json();
+  EXPECT_EQ(json.find("ids.never_recorded"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ids.zero\": 0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ids.zero_by_name\": 0"), std::string::npos) << json;
+  EXPECT_EQ(r.counter(never), 0u);
+  EXPECT_EQ(r.histogram(never_hist), nullptr);
+  EXPECT_EQ(r.histogram("ids.never_recorded_ns"), nullptr);
+  EXPECT_EQ(r.counter("ids.name_never_interned"), 0u);
+  EXPECT_EQ(r.histogram("ids.name_never_interned"), nullptr);
+}
+
+TEST(InternedIds, IdsStayValidAcrossClear) {
+  MetricsRegistry r;
+  const CounterId events{"events"};
+  const HistogramId lat_ns{"lat_ns"};
+  record_workload_by_id(r, 7);
+  r.clear();
+  EXPECT_EQ(r.to_json(), MetricsRegistry{}.to_json());
+  EXPECT_EQ(r.counter(events), 0u);
+  EXPECT_EQ(r.histogram(lat_ns), nullptr);
+  // The same ids record into the cleared registry exactly as into a new one.
+  record_workload_by_id(r, 8);
+  MetricsRegistry fresh;
+  record_workload(fresh, 8);
+  EXPECT_EQ(r.to_json(), fresh.to_json());
+  r.add(events, 5);
+  EXPECT_EQ(r.counter(events), 205u);
+}
+
+TEST(InternedIds, MergingIdRecordedRegistriesEqualsMergingNameRecorded) {
+  MetricsRegistry by_name;
+  MetricsRegistry by_id;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    MetricsRegistry part_name;
+    MetricsRegistry part_id;
+    record_workload(part_name, seed);
+    record_workload_by_id(part_id, seed);
+    part_name.add("only_in_part" + std::to_string(seed), seed);
+    part_id.add(CounterId{"only_in_part" + std::to_string(seed)}, seed);
+    by_name.merge(part_name);
+    by_id.merge(part_id);
+  }
+  EXPECT_EQ(by_id.to_json(), by_name.to_json());
+  EXPECT_EQ(by_id.counter("events"), 600u);
+  EXPECT_EQ(by_id.counter("only_in_part2"), 2u);
 }
 
 TEST(Export, JsonContainsPercentilesAndBuckets) {
