@@ -15,8 +15,8 @@
 //   staleness_ms  — last heal -> all hosts agree (the anti-entropy window;
 //                   OR-Set convergence is spec::check_converged, home mode
 //                   is replica catch-up to the primary)
-//   merge_ops     — remote dot ops applied by pulls + pushes (OR-Set) or
-//                   replica pull ops applied (home): the repair bill
+//   merge_ops     — remote dot ops applied by pulls (OR-Set) or replica
+//                   pull ops applied (home): the repair bill
 //   snapshot_joins / failovers — full-state joins forced by cursor expiry,
 //                   and writes that needed a non-nearest host
 //
@@ -194,9 +194,6 @@ void BM_OrSetAvailability(benchmark::State& state) {
     const std::uint64_t pull_ops_before =
         world.metrics.counter("store.orset.pull_ops_applied") +
         world.metrics.counter("store.replica.pull_ops_applied");
-    const std::uint64_t push_ops_before =
-        world.metrics.counter("store.orset.push_ops_applied") +
-        world.metrics.counter("store.replica.push_ops_applied");
     const std::uint64_t joins_before =
         world.metrics.counter("store.orset.snapshot_joins") +
         world.metrics.counter("store.replica.snapshot_installs");
@@ -220,10 +217,7 @@ void BM_OrSetAvailability(benchmark::State& state) {
     const double merge_ops = static_cast<double>(
         world.metrics.counter("store.orset.pull_ops_applied") +
         world.metrics.counter("store.replica.pull_ops_applied") -
-        pull_ops_before +
-        world.metrics.counter("store.orset.push_ops_applied") +
-        world.metrics.counter("store.replica.push_ops_applied") -
-        push_ops_before);
+        pull_ops_before);
     const double joins = static_cast<double>(
         world.metrics.counter("store.orset.snapshot_joins") +
         world.metrics.counter("store.replica.snapshot_installs") -

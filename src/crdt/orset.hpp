@@ -117,8 +117,8 @@ class DotContext {
 };
 
 /// One dot-level replication operation. The unit of the wire protocol
-/// (orset.pull / orset.sync), of the outbound anti-entropy log, and of the
-/// WAL records (kOrSetInsert / kOrSetKill) — one representation end to end.
+/// (orset.pull), of the outbound anti-entropy log, and of the WAL records
+/// (kOrSetInsert / kOrSetKill) — one representation end to end.
 class DotOp {
  public:
   enum class Kind : std::uint8_t { kInsert, kKill };

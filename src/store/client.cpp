@@ -241,11 +241,10 @@ const std::vector<ObjectRef>& RepositoryClient::absorb_delta(
     // the host's member order exactly (MemberList is the same structure the
     // server mutates), so a delta-synced read and a full read of the same
     // host state return identical sequences. Ops at or below the entry's
-    // cursor are skipped (cf. the server's coll.sync handler): overlapping
-    // read_alls on one client send the same `since` cursor, and whichever
-    // absorbs second would otherwise re-replay a prefix the entry already
-    // applied — re-removing a member that was later re-added permutes the
-    // cached order relative to the host.
+    // cursor are skipped: overlapping read_alls on one client send the same
+    // `since` cursor, and whichever absorbs second would otherwise re-replay
+    // a prefix the entry already applied — re-removing a member that was
+    // later re-added permutes the cached order relative to the host.
     for (const CollectionOp& op : reply.ops()) {
       if (op.seq() <= entry.seq) continue;
       if (op.kind() == CollectionOp::Kind::kAdd) {

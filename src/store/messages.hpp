@@ -268,10 +268,9 @@ class PinRequest {
   bool pin_;
 };
 
-/// coll.sync: push replication — primary sends a batch of contiguous ops to
-/// a replica. Reply: SyncReply (the primary uses applied_seq as the ack
-/// cursor). Complements pull anti-entropy: pushes convergence latency down
-/// to one RPC, pulls repair lost pushes.
+/// mig.ops: a live migration's catch-up step (src/placement) — the source
+/// ships the contiguous ops since its cursor to the target's staging copy.
+/// Reply: SyncReply (the source uses applied_seq as the ack cursor).
 class SyncRequest {
  public:
   SyncRequest(CollectionId id, std::vector<CollectionOp> ops,
@@ -285,9 +284,8 @@ class SyncRequest {
   [[nodiscard]] std::vector<CollectionOp>&& take_ops() && {
     return std::move(ops_);
   }
-  /// Incarnation of the primary's op stream. A replica on a different
-  /// incarnation applies nothing (its cursor is from another stream) and
-  /// lets pull anti-entropy snapshot-resync it.
+  /// Incarnation of the source's op stream. A staging copy on a different
+  /// incarnation refuses the batch (its cursor is from another stream).
   [[nodiscard]] std::uint64_t incarnation() const noexcept {
     return incarnation_;
   }
@@ -298,9 +296,8 @@ class SyncRequest {
   std::uint64_t incarnation_;
 };
 
-/// Reply to coll.sync: the replica's ack cursor plus the incarnation it is
-/// on, so a primary that recovered onto a new incarnation stops pushing ops
-/// at a stale replica (and vice versa) instead of spinning.
+/// Reply to mig.ops: the staging copy's ack cursor plus the incarnation it
+/// is on.
 class SyncReply {
  public:
   SyncReply(std::uint64_t applied_seq, std::uint64_t incarnation)
@@ -481,27 +478,6 @@ class OrSetPullReply {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> context_cloud_;
   std::uint64_t end_seq_;
   std::uint64_t incarnation_;
-};
-
-/// orset.sync: push replication for OR-Set fragments — a host ships the
-/// contiguous range of its *local* dot ops starting at `start_seq` to a
-/// peer. Dot ops are idempotent, so redelivery is harmless; the pusher uses
-/// the SyncReply ack cursor exactly like the home-primary push path.
-class OrSetSyncRequest {
- public:
-  OrSetSyncRequest(CollectionId id, std::vector<OrSetWireOp> ops,
-                   std::uint64_t start_seq)
-      : id_(id), ops_(std::move(ops)), start_seq_(start_seq) {}
-  [[nodiscard]] CollectionId id() const noexcept { return id_; }
-  [[nodiscard]] const std::vector<OrSetWireOp>& ops() const noexcept {
-    return ops_;
-  }
-  [[nodiscard]] std::uint64_t start_seq() const noexcept { return start_seq_; }
-
- private:
-  CollectionId id_;
-  std::vector<OrSetWireOp> ops_;
-  std::uint64_t start_seq_;
 };
 
 /// mig.apply: dual-home forwarding during a live fragment migration

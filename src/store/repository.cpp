@@ -94,10 +94,6 @@ void Repository::add_replica(CollectionId id, std::size_t fragment,
   }
   server->host_replica(id, frag.primary());
   frag.add_replica(node);
-  // If the primary pushes, tell it about its new target.
-  StoreServer* primary = server_at(frag.primary());
-  assert(primary != nullptr);
-  primary->add_push_target(id, node);
 }
 
 const CollectionMeta& Repository::meta(CollectionId id) const {

@@ -29,8 +29,8 @@ namespace weakset {
 /// How a collection's fragments replicate (DESIGN.md decision 16).
 enum class ReplicationMode : std::uint8_t {
   /// One authoritative primary per fragment; replicas converge toward it by
-  /// pull anti-entropy (optionally pushed). Writes go to the primary only —
-  /// a client partitioned from it is write-unavailable.
+  /// pull anti-entropy. Writes go to the primary only — a client
+  /// partitioned from it is write-unavailable.
   kHomePrimary,
   /// Optimized OR-Set CRDT (src/crdt): every host of a fragment accepts
   /// writes locally and hosts exchange dot ops all-pairs; merges are

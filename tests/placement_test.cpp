@@ -279,20 +279,18 @@ TEST_F(PlacementTest, FrozenFragmentRefusesToMigrate) {
       run_task(sim, migrate_rpc(coll, 0, servers[0], servers[1])).has_value());
 }
 
-TEST_F(PlacementTest, PushReplicatedFragmentRefusesToMigrateButKeepsPushing) {
-  // Replication state intentionally does not transfer with a fragment
-  // (server.hpp): a primary with push targets must refuse the migration
-  // outright — cleanly, with the placement untouched and the push channel
-  // still live — rather than strand its replicas on a retired host.
+TEST_F(PlacementTest, ReplicatedFragmentRefusesToMigrateButKeepsConverging) {
+  // Replicas pull from the fragment primary, and that link does not move
+  // with a fragment: the migration engine must refuse a replicated fragment
+  // outright — cleanly, with the placement untouched and anti-entropy still
+  // live — rather than strand its replicas on a retired host.
   StoreServerOptions options;
-  options.push_replication = true;
   options.pull_interval = Duration::millis(20);
   build(options);
   const CollectionId coll = repo.create_collection({servers[0]});
-  repo.add_replica(coll, 0, servers[1]);  // push target of the primary
+  repo.add_replica(coll, 0, servers[1]);  // pulls from the primary
   const std::vector<ObjectRef> refs = populate(coll, servers[2], 4);
 
-  EXPECT_TRUE(repo.server_at(servers[0])->migration_blocked(coll));
   const auto attempt =
       run_task(sim, migrate_rpc(coll, 0, servers[0], servers[2]));
   ASSERT_FALSE(attempt.has_value());
@@ -306,8 +304,8 @@ TEST_F(PlacementTest, PushReplicatedFragmentRefusesToMigrateButKeepsPushing) {
   EXPECT_EQ(reg.counter("placement.migrations_committed"), 0u);
   EXPECT_EQ(reg.counter("placement.fragments_adopted"), 0u);
 
-  // The push channel survived the refused attempt: a fresh write still
-  // reaches the replica ahead of any pull cycle.
+  // Anti-entropy survived the refused attempt: a fresh write still reaches
+  // the replica.
   const ObjectRef extra = repo.create_object(servers[2], "after-refusal");
   RepositoryClient writer{repo, client_node};
   ASSERT_TRUE(run_task(sim, writer.add(coll, extra)).value_or(false));
