@@ -20,10 +20,16 @@
 #                           recovery-vs-size at a fixed WAL tail, block
 #                           engine on/off, and the fixed-budget cache sweep
 #                           — all simulated time)
+#   BENCH_paper.json      — the paper's own figures and experiments: FIG1-FIG6,
+#                           E2-E9, E11 and E12, every case of each sweep (all
+#                           simulated time, except FIG2's evaluation cost,
+#                           which is wall-clock: gate it with
+#                           --ignore '\]\.iterations$' besides real_time)
 #
 # Usage: scripts/bench_json.sh [build-dir] [prefetch-out] [membership-out] \
 #                              [recovery-out] [migration-out] [hotpath-out] \
-#                              [scale-out] [orset-out] [storage-out]
+#                              [scale-out] [orset-out] [storage-out] \
+#                              [paper-out]
 
 set -euo pipefail
 build_dir="${1:-build}"
@@ -35,6 +41,7 @@ hotpath_out="${6:-BENCH_hotpath.json}"
 scale_out="${7:-BENCH_scale.json}"
 orset_out="${8:-BENCH_orset.json}"
 storage_out="${9:-BENCH_storage.json}"
+paper_out="${10:-BENCH_paper.json}"
 
 if [[ ! -d "${build_dir}/bench" ]]; then
   echo "error: ${build_dir}/bench not found — configure and build first:" >&2
@@ -57,6 +64,15 @@ run_bench() {
     >"${tmp}/$(basename "${bench}").json" 2>/dev/null
 }
 
+paper_benches=(
+  bench_fig1_immutable bench_fig2_reachable bench_fig3_immutable_failures
+  bench_fig4_snapshot bench_fig5_growonly bench_fig6_optimistic
+  bench_e2_availability bench_e3_strong_cost bench_e4_staleness
+  bench_e5_crossover bench_e6_ordering bench_e7_variants
+  bench_e8_order_constraint bench_e9_caching bench_e11_index
+  bench_e12_deadline
+)
+
 run_bench bench_e1_latency
 run_bench bench_e10_scale
 run_bench bench_e13_membership
@@ -66,72 +82,33 @@ run_bench micro/bench_micro_hotpath
 run_bench bench_e18_scale
 run_bench bench_e19_orset
 run_bench bench_e20_storage
+for bench in "${paper_benches[@]}"; do run_bench "${bench}"; done
 
-# One top-level object per output file, keyed by bench binary, each value
-# the unmodified google-benchmark JSON document.
-{
-  echo '{'
-  echo '  "bench_e1_latency":'
-  cat "${tmp}/bench_e1_latency.json"
-  echo '  ,'
-  echo '  "bench_e10_scale":'
-  cat "${tmp}/bench_e10_scale.json"
-  echo '}'
-} >"${prefetch_out}"
-echo "wrote ${prefetch_out}" >&2
+# Writes one top-level object to $1, keyed by each remaining argument's bench
+# binary, each value the unmodified google-benchmark JSON document.
+assemble() {
+  local out="$1"
+  shift
+  local sep=''
+  {
+    echo '{'
+    for bench in "$@"; do
+      if [[ -n "${sep}" ]]; then echo "${sep}"; fi
+      echo "  \"${bench}\":"
+      cat "${tmp}/${bench}.json"
+      sep='  ,'
+    done
+    echo '}'
+  } >"${out}"
+  echo "wrote ${out}" >&2
+}
 
-{
-  echo '{'
-  echo '  "bench_e13_membership":'
-  cat "${tmp}/bench_e13_membership.json"
-  echo '}'
-} >"${membership_out}"
-echo "wrote ${membership_out}" >&2
-
-{
-  echo '{'
-  echo '  "bench_e14_recovery":'
-  cat "${tmp}/bench_e14_recovery.json"
-  echo '}'
-} >"${recovery_out}"
-echo "wrote ${recovery_out}" >&2
-
-{
-  echo '{'
-  echo '  "bench_e15_migration":'
-  cat "${tmp}/bench_e15_migration.json"
-  echo '}'
-} >"${migration_out}"
-echo "wrote ${migration_out}" >&2
-
-{
-  echo '{'
-  echo '  "bench_micro_hotpath":'
-  cat "${tmp}/bench_micro_hotpath.json"
-  echo '}'
-} >"${hotpath_out}"
-echo "wrote ${hotpath_out}" >&2
-
-{
-  echo '{'
-  echo '  "bench_e18_scale":'
-  cat "${tmp}/bench_e18_scale.json"
-  echo '}'
-} >"${scale_out}"
-echo "wrote ${scale_out}" >&2
-
-{
-  echo '{'
-  echo '  "bench_e19_orset":'
-  cat "${tmp}/bench_e19_orset.json"
-  echo '}'
-} >"${orset_out}"
-echo "wrote ${orset_out}" >&2
-
-{
-  echo '{'
-  echo '  "bench_e20_storage":'
-  cat "${tmp}/bench_e20_storage.json"
-  echo '}'
-} >"${storage_out}"
-echo "wrote ${storage_out}" >&2
+assemble "${prefetch_out}" bench_e1_latency bench_e10_scale
+assemble "${membership_out}" bench_e13_membership
+assemble "${recovery_out}" bench_e14_recovery
+assemble "${migration_out}" bench_e15_migration
+assemble "${hotpath_out}" bench_micro_hotpath
+assemble "${scale_out}" bench_e18_scale
+assemble "${orset_out}" bench_e19_orset
+assemble "${storage_out}" bench_e20_storage
+assemble "${paper_out}" "${paper_benches[@]}"
