@@ -97,8 +97,8 @@ struct IteratorStats {
   // prefetch_hits + prefetch_misses == fetch_attempts.
   std::uint64_t prefetch_hits = 0;    ///< fetches served from the window
   std::uint64_t prefetch_misses = 0;  ///< fetches that had to wait or go out
-  std::uint64_t prefetch_batches = 0;          ///< batched fetches issued
-  std::uint64_t prefetch_batched_objects = 0;  ///< refs across those batches
+  std::uint64_t prefetch_batches = 0;          ///< window refills issued
+  std::uint64_t prefetch_batched_objects = 0;  ///< refs across those refills
   std::uint64_t prefetch_invalidated = 0;  ///< window entries discarded by
                                            ///< membership/reachability change
   // Membership refresh path (how each read_members() was served; Fig 5/6

@@ -48,30 +48,41 @@ void Prefetcher::sync(const std::vector<ObjectRef>& candidates) {
   // Hysteresis: refill only once the window has half-drained, so each refill
   // is a real batch rather than one ref per yield.
   if (slots_.size() >= low_water_) return;
-  std::vector<ObjectRef> refs;
-  std::vector<std::shared_ptr<Slot>> batch;
+  // The refill goes out as one batch per home node, in the order each home
+  // first appears in pick order, so a slot is set as soon as its own home
+  // answers rather than when the slowest home in the refill does.
+  std::vector<HomeBatch> batches;
+  std::size_t refilled = 0;
   for (const ObjectRef ref : candidates) {
     if (slots_.size() >= window_) break;
     if (slots_.count(ref) != 0 || !view_.is_reachable(ref)) continue;
     auto slot = std::make_shared<Slot>(view_.sim());
     slots_.emplace(ref, slot);
-    refs.push_back(ref);
-    batch.push_back(std::move(slot));
+    std::size_t b = 0;
+    while (b < batches.size() && batches[b].home != ref.home()) ++b;
+    if (b == batches.size()) batches.push_back(HomeBatch{ref.home(), {}, {}});
+    batches[b].refs.push_back(ref);
+    batches[b].slots.push_back(std::move(slot));
+    ++refilled;
   }
-  if (refs.empty()) return;
-  std::erase_if(batch_tails_, [](const std::shared_ptr<Slot>& tail) {
-    return tail->cell.is_set();
+  if (refilled == 0) return;
+  std::erase_if(outstanding_, [](const std::shared_ptr<Slot>& slot) {
+    return slot->cell.is_set();
   });
-  batch_tails_.push_back(batch.back());
   ++stats_.prefetch_batches;
-  stats_.prefetch_batched_objects += refs.size();
+  stats_.prefetch_batched_objects += refilled;
   // Occupancy is sampled right after a refill: how full the pipeline runs in
   // steady state (a full window means fetches hide behind consumption).
   metrics_.record_value(kMetrics.window_occupancy,
                         static_cast<std::int64_t>(slots_.size()));
   metrics_.add(kMetrics.batches);
-  metrics_.add(kMetrics.batched_objects, refs.size());
-  view_.sim().spawn(batch_worker(&view_, std::move(refs), std::move(batch)));
+  metrics_.add(kMetrics.batched_objects, refilled);
+  for (HomeBatch& batch : batches) {
+    outstanding_.insert(outstanding_.end(), batch.slots.begin(),
+                        batch.slots.end());
+    view_.sim().spawn(batch_worker(&view_, std::move(batch.refs),
+                                   std::move(batch.slots)));
+  }
 }
 
 Task<Result<VersionedValue>> Prefetcher::fetch(ObjectRef ref) {
@@ -97,18 +108,16 @@ void Prefetcher::drop(ObjectRef ref) {
 }
 
 Task<void> Prefetcher::quiesce() {
-  std::unordered_map<ObjectRef, std::shared_ptr<Slot>> outstanding =
-      std::move(slots_);
+  // A worker sets all of its slots in one event and then returns, so once
+  // every slot handed to a worker is set no worker is in flight. That
+  // includes a worker whose every entry sync() or drop() discarded: its
+  // slots left the window but not outstanding_. Slots already set resume
+  // without a step.
   slots_.clear();
-  for (auto& entry : outstanding) {
-    (void)co_await entry.second->cell.wait();
-  }
-  // A batch whose every entry sync() or drop() discarded is no longer in
-  // the window but may still be in flight; awaiting its tail waits it out.
-  // Tails already set (every batch awaited above) resume without a step.
-  const std::vector<std::shared_ptr<Slot>> tails = std::move(batch_tails_);
-  batch_tails_.clear();
-  for (const auto& tail : tails) (void)co_await tail->cell.wait();
+  const std::vector<std::shared_ptr<Slot>> outstanding =
+      std::move(outstanding_);
+  outstanding_.clear();
+  for (const auto& slot : outstanding) (void)co_await slot->cell.wait();
 }
 
 Task<void> Prefetcher::batch_worker(SetView* view, std::vector<ObjectRef> refs,

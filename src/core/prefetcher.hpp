@@ -6,10 +6,12 @@
 // nothing in any of the five specifications requires the element *payloads*
 // to be requested serially — fetching is I/O, not semantics. The prefetcher
 // keeps a window of fetches in flight ahead of next(): sync() reconciles the
-// window with the current candidate list and tops it up with one batched
-// fetch_many() call (which the repository view turns into per-node
-// store.fetch_batch RPCs), and fetch() consumes the result for one ref,
-// serving it instantly when the prefetch already landed.
+// window with the current candidate list and tops it up with one refill,
+// sent as one fetch_many() call per home node (which the repository view
+// serves with one store.fetch_batch RPC), and fetch() consumes the result for
+// one ref, serving it instantly when the prefetch already landed. Each home's
+// batch runs in its own worker, so an element waits only for its own home,
+// never for the slowest home in its refill.
 //
 // Semantics preservation is the caller's contract, enforced in two places:
 //   - sync() drops window entries whose ref left the candidate set, so a
@@ -26,11 +28,11 @@
 //
 // Lifetime: batch workers are detached simulator processes holding the view
 // pointer. The iterator awaits quiesce() on its terminal step, and quiesce()
-// awaits every batch still in flight — including a batch whose window
-// entries sync() or drop() all discarded — so after a run has finished or
-// failed no worker is still in flight. Only an iterator abandoned mid-run
-// keeps the contract that the view must outlive any in-flight batch (drain
-// the simulator before tearing the view down).
+// awaits every slot a worker has not yet set — including the slots of a worker
+// whose window entries sync() or drop() all discarded — so after a run has
+// finished or failed no worker is still in flight. Only an iterator abandoned
+// mid-run keeps the contract that the view must outlive any in-flight batch
+// (drain the simulator before tearing the view down).
 
 #include <cstddef>
 #include <memory>
@@ -55,9 +57,10 @@ class Prefetcher {
 
   /// Reconciles the window with the current candidate list (in pick order):
   /// drops entries whose ref is no longer a candidate, and — once the window
-  /// has drained below half — refills it with one batched fetch over the
-  /// first untracked, reachable candidates. Refilling in half-window batches
-  /// (instead of one ref per yield) is what keeps the per-node RPCs batched.
+  /// has drained below half — refills it with the first untracked, reachable
+  /// candidates, one batch worker per home node, spawned in the order each
+  /// home first appears. Refilling in half-window batches (instead of one ref
+  /// per yield) is what keeps the per-node RPCs batched.
   void sync(const std::vector<ObjectRef>& candidates);
 
   /// Consumes the result for `ref`: serves the completed prefetch (hit),
@@ -68,9 +71,9 @@ class Prefetcher {
   /// revalidation found it unreachable; a later retry refetches fresh).
   void drop(ObjectRef ref);
 
-  /// Awaits every outstanding window entry and every batch still in flight,
-  /// discarding the results, so no batch worker (each holds the view
-  /// pointer) is still running when the caller starts tearing the view down.
+  /// Awaits every slot a batch worker has not yet set, discarding the
+  /// results, so no batch worker (each holds the view pointer) is still
+  /// running when the caller starts tearing the view down.
   Task<void> quiesce();
 
  private:
@@ -82,6 +85,13 @@ class Prefetcher {
     OneShot<Result<VersionedValue>> cell;
   };
 
+  /// One home node's share of a refill, fetched by one batch_worker.
+  struct HomeBatch {
+    NodeId home;
+    std::vector<ObjectRef> refs;
+    std::vector<std::shared_ptr<Slot>> slots;
+  };
+
   static Task<void> batch_worker(SetView* view, std::vector<ObjectRef> refs,
                                  std::vector<std::shared_ptr<Slot>> slots);
 
@@ -91,10 +101,9 @@ class Prefetcher {
   IteratorStats& stats_;
   obs::MetricsRegistry& metrics_;
   std::unordered_map<ObjectRef, std::shared_ptr<Slot>> slots_;
-  /// The last slot of each batch that may still be in flight. A worker sets
-  /// its slots in order within one event, so a set tail means the worker is
-  /// done; set tails are pruned at the next refill.
-  std::vector<std::shared_ptr<Slot>> batch_tails_;
+  /// Every slot handed to a batch worker that may not be set yet, whether or
+  /// not it is still in the window; set slots are pruned at the next refill.
+  std::vector<std::shared_ptr<Slot>> outstanding_;
 };
 
 }  // namespace weakset

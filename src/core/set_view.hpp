@@ -85,8 +85,10 @@ class SetView {
   /// Retrieves several payloads; results align with `refs` by index and the
   /// call itself never fails (per-ref failures travel in the results). The
   /// default degrades to one fetch() per ref; distributed views override it
-  /// to batch refs into per-node scatter-gather RPCs, which is what makes
-  /// iterator prefetching cheap over a wide-area repository.
+  /// to batch each home node's refs into one RPC, which is what makes
+  /// iterator prefetching cheap over a wide-area repository. The prefetcher
+  /// makes one call per home node, so each home's results are delivered as
+  /// soon as that home answers.
   virtual Task<std::vector<Result<VersionedValue>>> fetch_many(
       std::vector<ObjectRef> refs) {
     std::vector<Result<VersionedValue>> out;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "util/pool.hpp"
@@ -302,7 +301,7 @@ Task<Result<std::vector<ObjectRef>>> RepositoryClient::read_all_attempt(
   // Scatter: one worker per fragment, every per-fragment RPC (or quorum
   // sub-scatter) in flight at once, so whole-set latency is the max of the
   // fragment reads instead of their sum. The gather must outlive this frame
-  // if abandoned, so the arrival queue is heap-shared (cf. fetch_many).
+  // if abandoned, so the arrival queue is heap-shared (cf. quorum_snapshot).
   auto arrivals = std::make_shared<AsyncQueue<FragmentArrival>>(sim);
   std::vector<std::optional<Result<msg::DeltaReply>>> slots(fragments);
   // Which host answers each delta-path fragment; invalid() marks fragments
@@ -499,87 +498,49 @@ Task<Result<VersionedValue>> RepositoryClient::fetch(ObjectRef ref) {
                               msg::FetchRequest{ref.id()});
 }
 
-namespace {
-/// One (group index, reply) arrival of the fetch_many scatter-gather.
-using BatchArrival = std::pair<std::size_t, Result<msg::FetchBatchReply>>;
-
-Task<void> fetch_batch_into(
-    RpcNetwork& net, NodeId from, NodeId home, MethodId method,
-    std::vector<ObjectId> ids, std::optional<Duration> timeout,
-    std::size_t group, std::shared_ptr<AsyncQueue<BatchArrival>> arrivals) {
-  Result<msg::FetchBatchReply> reply =
-      co_await net.call_typed<msg::FetchBatchReply>(
-          from, home, method,
-          msg::FetchBatchRequest{std::move(ids)}, timeout);
-  arrivals->push(BatchArrival{group, std::move(reply)});
-}
-}  // namespace
-
 Task<std::vector<Result<VersionedValue>>> RepositoryClient::fetch_many(
     std::vector<ObjectRef> refs) {
-  // Group the refs by home node, preserving each group's request order.
+  // The home nodes in the order they first appear. A call carries few homes
+  // (the prefetcher sends one), so a linear scan groups them.
   std::vector<NodeId> homes;
-  std::vector<std::vector<std::size_t>> group_indices;  // group -> refs index
-  std::unordered_map<NodeId, std::size_t> group_of;
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    const auto [it, inserted] =
-        group_of.try_emplace(refs[i].home(), homes.size());
-    if (inserted) {
-      homes.push_back(refs[i].home());
-      group_indices.emplace_back();
+  for (const ObjectRef ref : refs) {
+    if (std::find(homes.begin(), homes.end(), ref.home()) == homes.end()) {
+      homes.push_back(ref.home());
     }
-    group_indices[it->second].push_back(i);
   }
 
-  // Scatter one batched RPC per home node; all nodes proceed in parallel.
-  // The gather must outlive this frame if abandoned, so the arrival queue is
-  // heap-shared (cf. read_fragment_quorum).
-  Simulator& sim = repo_.sim();
-  auto arrivals = std::make_shared<AsyncQueue<BatchArrival>>(sim);
+  // One batched RPC per home node, awaited in turn. Homes are not overlapped
+  // here: the prefetcher gives each home its own call, so that one home's
+  // elements never wait for another's reply.
   metrics_.add(kMetrics.fetch_manys);
   metrics_.add(kMetrics.fetch_batch_rpcs, homes.size());
   metrics_.record_value(kMetrics.fetch_many_size,
                         static_cast<std::int64_t>(refs.size()));
-  for (std::size_t g = 0; g < homes.size(); ++g) {
+  // Each ref's home answers or fails it below, so every placeholder is
+  // overwritten.
+  std::vector<Result<VersionedValue>> out(refs.size(), Failure{});
+  for (const NodeId home : homes) {
     std::vector<ObjectId> ids;
-    ids.reserve(group_indices[g].size());
-    for (const std::size_t i : group_indices[g]) ids.push_back(refs[i].id());
-    sim.spawn(fetch_batch_into(repo_.net(), node_, homes[g],
-                               methods_.fetch_batch, std::move(ids),
-                               options_.rpc_timeout, g, arrivals));
-  }
-
-  std::vector<std::optional<Result<VersionedValue>>> slots(refs.size());
-  for (std::size_t answered = 0; answered < homes.size(); ++answered) {
-    std::optional<BatchArrival> arrival = co_await arrivals->pop();
-    if (!arrival) break;  // cannot happen: queue is never closed
-    auto& [group, reply] = *arrival;
-    const std::vector<std::size_t>& indices = group_indices[group];
-    if (reply.has_value()) {
-      auto results = std::move(reply).value().take_results();
-      assert(results.size() == indices.size() &&
-             "fetch_batch reply shape mismatch");
-      for (std::size_t j = 0; j < indices.size(); ++j) {
-        slots[indices[j]] = std::move(results[j]);
-      }
-      VectorPool<Result<VersionedValue>>::release(std::move(results));
-    } else {
-      // Transport failure: every ref homed at this node shares it.
-      for (const std::size_t i : indices) slots[i] = reply.error();
+    ids.reserve(refs.size());
+    for (const ObjectRef ref : refs) {
+      if (ref.home() == home) ids.push_back(ref.id());
     }
-  }
-
-  std::vector<Result<VersionedValue>> out;
-  out.reserve(refs.size());
-  for (auto& slot : slots) {
-    if (!slot.has_value()) {
-      // Aborted gather (queue closed early): degrade to a per-ref failure
-      // rather than dereferencing an empty optional (cf. read_all).
-      out.emplace_back(
-          Failure{FailureKind::kUnreachable, "fetch gather aborted"});
+    [[maybe_unused]] const std::size_t count = ids.size();  // for the assert
+    Result<msg::FetchBatchReply> reply = co_await call<msg::FetchBatchReply>(
+        home, methods_.fetch_batch, msg::FetchBatchRequest{std::move(ids)});
+    if (!reply.has_value()) {
+      // Transport failure: every ref homed at this node shares it.
+      for (std::size_t i = 0; i < refs.size(); ++i) {
+        if (refs[i].home() == home) out[i] = reply.error();
+      }
       continue;
     }
-    out.push_back(std::move(*slot));
+    auto results = std::move(reply).value().take_results();
+    assert(results.size() == count && "fetch_batch reply shape mismatch");
+    for (std::size_t i = 0, j = 0; i < refs.size(); ++i) {
+      if (refs[i].home() == home) out[i] = std::move(results[j++]);
+    }
+    VectorPool<Result<VersionedValue>>::release(std::move(results));
   }
   co_return out;
 }

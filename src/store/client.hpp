@@ -125,10 +125,12 @@ class RepositoryClient {
   /// Fetches the payload behind `ref` from its home node.
   Task<Result<VersionedValue>> fetch(ObjectRef ref);
 
-  /// Fetches many payloads at once: groups the refs by home node, issues one
-  /// batched store.fetch_batch RPC per node (all nodes in parallel), and
-  /// gathers the per-ref results, aligned with `refs` by index. A node that
+  /// Fetches many payloads at once: groups the refs by home node and awaits
+  /// one batched store.fetch_batch RPC per node, the nodes in turn in the
+  /// order they first appear. Results align with `refs` by index. A node that
   /// cannot be reached fails all of its refs; the call itself never fails.
+  /// Callers that want homes overlapped issue one call per home, as the
+  /// prefetcher does.
   Task<std::vector<Result<VersionedValue>>> fetch_many(
       std::vector<ObjectRef> refs);
 

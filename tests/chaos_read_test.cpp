@@ -114,12 +114,17 @@ TEST_F(ChaosReadTest, NearestFailsOverToReplicaAndKeepsDeltaSyncing) {
   RepositoryClient client{repo, client_node, copts};
   WeakSet set = make_set(client, 8);
 
+  // The iterator reads membership back to back, so the cut catches a read
+  // of s2 in flight, and a link that drops does not fail the calls already
+  // on it: that read waits out the 2 s RPC timeout. The outage lasts 3 s so
+  // that the retry after it still starts while s2 is dark, which is what
+  // fails the client over to the replica.
   sim.schedule(Duration::millis(25), [this] {
     // Cut the client off from fragment 1's primary only; server-to-server
     // links stay up, so the replica keeps converging.
     topo.set_link_up(client_node, servers[2], false);
   });
-  sim.schedule(Duration::seconds(2), [this] {
+  sim.schedule(Duration::seconds(3), [this] {
     topo.set_link_up(client_node, servers[2], true);
   });
 
@@ -129,10 +134,10 @@ TEST_F(ChaosReadTest, NearestFailsOverToReplicaAndKeepsDeltaSyncing) {
   const DrainResult result = run_task(sim, drain(*iterator));
 
   // Completes with every element: the objects homed on s2 become fetchable
-  // again after the heal at t=2s.
+  // again after the heal at t=3.3s.
   EXPECT_TRUE(result.finished());
   EXPECT_EQ(result.count(), 8u);
-  EXPECT_GE(sim.now() - SimTime::zero(), Duration::seconds(2));
+  EXPECT_GE(sim.now() - SimTime::zero(), Duration::seconds(3));
 
   const ClientReadStats& stats = client.read_stats();
   // The delta path carried the steady state...

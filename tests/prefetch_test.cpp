@@ -15,6 +15,7 @@
 #include "core/iterator.hpp"
 #include "core/local_view.hpp"
 #include "core/weak_set.hpp"
+#include "obs/metrics.hpp"
 
 namespace weakset {
 namespace {
@@ -142,11 +143,14 @@ TEST_F(PrefetchLocalTest, Fig4DoesNotYieldPrefetchedElementTurnedUnreachable) {
   EXPECT_GE(last_stats.skipped_unreachable, 1u);
 }
 
-/// Decorates a LocalSetView: removes members 8 and 9 the moment the batched
-/// fetch carrying them is issued, and counts fetch_many calls in flight.
+/// Decorates a LocalSetView: removes members 8 and `nine` the moment the
+/// batched fetch carrying member 8 is issued, answers that fetch 20ms late,
+/// and counts fetch_many calls in flight. The lag makes the worker for 8
+/// outlast one that 9 alone rides in, when 9 lives on another home.
 class RemoveOnRefillView final : public SetView {
  public:
-  explicit RemoveOnRefillView(LocalSetView& inner) : inner_(inner) {}
+  RemoveOnRefillView(LocalSetView& inner, ObjectRef nine)
+      : inner_(inner), nine_(nine) {}
 
   Task<Result<std::vector<ObjectRef>>> read_members() override {
     return inner_.read_members();
@@ -172,11 +176,13 @@ class RemoveOnRefillView final : public SetView {
   }
   Task<std::vector<Result<VersionedValue>>> fetch_many(
       std::vector<ObjectRef> refs) override {
-    if (std::find(refs.begin(), refs.end(), ref(8)) != refs.end()) {
+    const bool carries_eight =
+        std::find(refs.begin(), refs.end(), ref(8)) != refs.end();
+    if (carries_eight) {
       inner_.remove(ref(8));
-      inner_.remove(ref(9));
+      inner_.remove(nine_);
     }
-    return counted_fetch_many(std::move(refs));
+    return counted_fetch_many(std::move(refs), carries_eight);
   }
   [[nodiscard]] Simulator& sim() override { return inner_.sim(); }
 
@@ -184,8 +190,9 @@ class RemoveOnRefillView final : public SetView {
 
  private:
   Task<std::vector<Result<VersionedValue>>> counted_fetch_many(
-      std::vector<ObjectRef> refs) {
+      std::vector<ObjectRef> refs, bool lagged) {
     ++in_flight;
+    if (lagged) co_await inner_.sim().delay(Duration::millis(20));
     std::vector<Result<VersionedValue>> out =
         co_await inner_.fetch_many(std::move(refs));
     --in_flight;
@@ -193,21 +200,21 @@ class RemoveOnRefillView final : public SetView {
   }
 
   LocalSetView& inner_;
+  ObjectRef nine_;
 };
 
-TEST(PrefetchQuiesceTest, NoBatchInFlightAfterTerminalStep) {
-  // Window 8 prefetches members 0-7, then refills with {8, 9} once half of
-  // it is consumed. That refill removes 8 and 9, so the next sync discards
-  // both entries while their batch is still in flight. The terminal step
-  // must still wait that batch out: afterwards the caller may destroy the
-  // view the batch worker is using.
+/// Drains a 10-element Fig 6 run at window 8 in which the refill carrying
+/// members 8 and 9 removes both, homing member 9 at `home_of_9`. Checks that
+/// no batch is in flight once the run has finished.
+void expect_no_batch_in_flight_after_terminal_step(NodeId home_of_9) {
   Simulator sim;
   LocalSetView local{sim};
   for (std::uint64_t i = 0; i < 10; ++i) {
-    local.add(ref(i), "p" + std::to_string(i));
+    const ObjectRef r = i == 9 ? ObjectRef{ObjectId{i}, home_of_9} : ref(i);
+    local.add(r, "p" + std::to_string(i));
   }
   local.set_latencies(Duration::millis(1), Duration::millis(8));
-  RemoveOnRefillView view{local};
+  RemoveOnRefillView view{local, ObjectRef{ObjectId{9}, home_of_9}};
   IteratorOptions options;
   options.prefetch_window = 8;
   auto iterator =
@@ -218,6 +225,23 @@ TEST(PrefetchQuiesceTest, NoBatchInFlightAfterTerminalStep) {
   EXPECT_EQ(result.count(), 8u);
   EXPECT_GE(iterator->stats().prefetch_invalidated, 2u);
   sim.run();
+}
+
+TEST(PrefetchQuiesceTest, NoBatchInFlightAfterTerminalStep) {
+  // Window 8 prefetches members 0-7, then refills with {8, 9} once half of
+  // it is consumed. That refill removes 8 and 9, so the next sync discards
+  // both entries while their batch is still in flight. The terminal step
+  // must still wait that batch out: afterwards the caller may destroy the
+  // view the batch worker is using.
+  expect_no_batch_in_flight_after_terminal_step(NodeId{0});
+}
+
+TEST(PrefetchQuiesceTest, NoBatchInFlightAfterTerminalStepAcrossTwoHomes) {
+  // As above, but 8 and 9 live on different homes, so the refill goes out
+  // as two batch workers and sync discards every slot of both. The worker
+  // for 8 answers last, so waiting only for the refill's last slot (9's)
+  // would leave it in flight.
+  expect_no_batch_in_flight_after_terminal_step(NodeId{1});
 }
 
 /// The acceptance world: a client far (100ms) from all four servers, the
@@ -306,6 +330,80 @@ TEST_F(PrefetchRepoTest, BatchedFetchSurvivesYieldOrderConformance) {
   for (std::size_t i = 0; i < serial.count(); ++i) {
     EXPECT_EQ(serial.elements()[i].first, piped.elements()[i].first);
   }
+}
+
+/// A client 2ms from a near server, which holds the membership, and 100ms
+/// from a far one; 16 objects homed alternately near and far, near first.
+class PrefetchNearFarTest : public ::testing::Test {
+ protected:
+  PrefetchNearFarTest() {
+    client_node = topo.add_node("client");
+    near = topo.add_node("near");
+    far = topo.add_node("far");
+    topo.connect(client_node, near, Duration::millis(2));
+    topo.connect(client_node, far, Duration::millis(100));
+    topo.connect(near, far, Duration::millis(100));
+    repo.add_server(near);
+    repo.add_server(far);
+    collection = repo.create_collection({near});
+    for (int i = 0; i < 16; ++i) {
+      const ObjectRef obj = repo.create_object(i % 2 == 0 ? near : far,
+                                               "payload" + std::to_string(i));
+      repo.seed_member(*collection, obj);
+    }
+  }
+
+  ~PrefetchNearFarTest() override {
+    repo.stop_all_daemons();
+    sim.run();
+  }
+
+  /// Time to the first yield of a Fig 1 drain at `window`; drains the rest
+  /// and counts the store.fetch_batch RPCs the whole run sent.
+  Duration first_yield(std::size_t window) {
+    obs::MetricsRegistry metrics;
+    ClientOptions client_options;
+    client_options.metrics = &metrics;
+    RepositoryClient client{repo, client_node, client_options};
+    WeakSet set{client, *collection};
+    IteratorOptions options;
+    options.prefetch_window = window;
+    auto iterator = set.elements(Semantics::kFig1Immutable, options);
+    const SimTime start = sim.now();
+    const Step step = run_task(sim, iterator->next());
+    const Duration elapsed = sim.now() - start;
+    EXPECT_TRUE(step.is_yield());
+    EXPECT_EQ(step.ref().home(), near);
+    const DrainResult rest = run_task(sim, drain(*iterator));
+    EXPECT_TRUE(rest.finished());
+    EXPECT_EQ(rest.count(), 15u);
+    fetch_batch_rpcs = metrics.counter("store.client.fetch_batch_rpcs");
+    return elapsed;
+  }
+
+  Simulator sim;
+  Topology topo;
+  NodeId client_node;
+  NodeId near;
+  NodeId far;
+  RpcNetwork net{sim, topo, Rng{7}};
+  Repository repo{net};
+  std::optional<CollectionId> collection;
+  std::uint64_t fetch_batch_rpcs = 0;
+};
+
+TEST_F(PrefetchNearFarTest, NearElementDoesNotWaitForFarHome) {
+  // Window 8's first refill spans both homes. Its near element must yield
+  // after one membership read plus the near round trip, as the serial path
+  // does, not after the far home's 200ms round trip.
+  const Duration serial = first_yield(1);
+  const Duration piped = first_yield(8);
+  EXPECT_LE(piped, serial + Duration::millis(1))
+      << "serial " << to_string(serial) << " vs piped " << to_string(piped);
+  EXPECT_LT(piped, Duration::millis(50)) << to_string(piped);
+  // One store.fetch_batch per home per refill: splitting the refill by home
+  // sends exactly the RPCs one mixed-home batch did.
+  EXPECT_EQ(fetch_batch_rpcs, 6u);
 }
 
 }  // namespace
