@@ -15,6 +15,12 @@
 //   bounded by the budget (evictions + dirty write-backs do the shedding);
 //   image_over_budget documents the ratio the row achieved.
 //
+//   BM_OrSetRecoveryVsHistory — an OR-Set fragment's dot-op history sweeps
+//   16x before one checkpoint, then the same churn burst as above and one
+//   amnesia crash. The checkpoint images the fragment's dot context and
+//   live dots, so recovery replays only the burst: recovery_ms and
+//   ops_replayed stay flat as the history grows.
+//
 // All quantities are simulated time / engine telemetry deltas and
 // deterministic: same binary, same seed — the CI gate cmp's a double run
 // byte-for-byte.
@@ -226,6 +232,80 @@ BENCHMARK(BM_CacheSweep)
     ->Arg(1024)
     ->Arg(2048)
     ->Arg(4096)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+/// `ops` dot ops at the OR-Set host: add/remove pairs of fresh objects, so
+/// the history grows while the live set stays at its seed.
+Task<void> orset_history(World& world, CollectionId coll, int ops) {
+  RepositoryClient writer{*world.repo, world.servers[0]};
+  for (int i = 0; i < ops / 2; ++i) {
+    const ObjectRef ref = world.repo->create_object(
+        world.servers[1], "history-" + std::to_string(i));
+    co_await writer.add(coll, ref);
+    co_await writer.remove(coll, ref);
+  }
+}
+
+void BM_OrSetRecoveryVsHistory(benchmark::State& state) {
+  const auto history = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    WorldConfig config;
+    config.servers = 2;
+    config.near = Duration::millis(2);
+    config.far = Duration::millis(5);
+    config.mesh = Duration::millis(5);
+    config.server_options = durable_options();
+    obs::MetricsRegistry& reg = obs::global();
+
+    World world{config};
+    StoreServer& host = *world.repo->server_at(world.servers[0]);
+    const CollectionId coll = world.repo->create_collection(
+        {world.servers[0]}, ReplicationMode::kOrSet);
+    world.repo->add_replica(coll, 0, world.servers[1]);
+    for (int i = 0; i < 256; ++i) {
+      const ObjectRef ref = world.repo->create_object(
+          world.servers[static_cast<std::size_t>(i) % 2],
+          "object-" + std::to_string(i));
+      world.objects.push_back(ref);
+      host.seed_orset_member(coll, ref);
+    }
+    run_task(world.sim, orset_history(world, coll, history));
+    const bool checkpointed = run_task(world.sim, host.checkpoint_now());
+    assert(checkpointed);
+    (void)checkpointed;
+
+    const SimTime churn_start = world.sim.now();
+    world.spawn_churn(coll, kChurnInterval, 0.3, churn_start + kChurnWindow,
+                      42);
+    world.sim.run_until(churn_start + kChurnWindow + Duration::millis(20));
+
+    const std::uint64_t replayed_before = reg.counter("wal.ops_replayed");
+    const std::int64_t recovery_ns_before = hist_sum(reg, "wal.recovery");
+    const SimTime crash_at = world.sim.now();
+    world.sim.schedule(Duration::millis(1), [&world] {
+      world.topo.crash(world.servers[0], Topology::CrashKind::kAmnesia);
+    });
+    world.sim.schedule(Duration::millis(20),
+                       [&world] { world.topo.restart(world.servers[0]); });
+    world.sim.run_until(crash_at + Duration::millis(300));
+
+    state.counters["recovery_ms"] =
+        static_cast<double>(hist_sum(reg, "wal.recovery") -
+                            recovery_ns_before) /
+        1e6;
+    state.counters["ops_replayed"] = static_cast<double>(
+        reg.counter("wal.ops_replayed") - replayed_before);
+    state.counters["members_after"] =
+        static_cast<double>(host.orset_state(coll)->size());
+  }
+}
+// Dot ops before the checkpoint; the burst after it is the same in every
+// row.
+BENCHMARK(BM_OrSetRecoveryVsHistory)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -18,8 +18,9 @@
 #                           all simulated time)
 #   BENCH_storage.json    — block storage engine sweeps (ISSUE 10: e20;
 #                           recovery-vs-size at a fixed WAL tail, block
-#                           engine on/off, and the fixed-budget cache sweep
-#                           — all simulated time)
+#                           engine on/off, the fixed-budget cache sweep, and
+#                           OR-Set recovery vs dot-op history — all
+#                           simulated time)
 #   BENCH_paper.json      — the paper's own figures and experiments: FIG1-FIG6,
 #                           E2-E9, E11 and E12, every case of each sweep (all
 #                           simulated time, except FIG2's evaluation cost,

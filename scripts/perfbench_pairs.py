@@ -3,6 +3,8 @@
 
     python3 scripts/perfbench_pairs.py PARENT_BIN CHANGE_BIN \\
         --workload durable_churn --seed 1 --seconds 30 --pairs 10
+    python3 scripts/perfbench_pairs.py PARENT_BIN CHANGE_BIN \\
+        --workload durable_churn --sim-seeds 1,2,3,4,90001 --seconds 2
 
 PARENT_BIN and CHANGE_BIN are weakset_perfbench binaries built the same way
 from two commits (for example, perfbench/run.py run once per checkout with
@@ -25,6 +27,16 @@ Printed, in order:
     its counts summed over its repetitions, and a slowed host makes fewer
     of them, so the counts are compared per repetition.
 
+With --sim-seeds, each binary instead runs once per listed seed, and every
+simulated-time end-to-end metric is printed per seed side by side: both
+values, the change over the parent, and whether the change is within the
+regression bound BENCHMARK.json fixes. Simulated metrics repeat exactly per
+seed, so one short run per seed measures them, but they are not smooth
+across seeds: a percentile can sit between two clusters of samples and
+jump from one to the other at one seed only. In this mode the exit status
+is 0 when every run is correct and every metric is within its bound at
+every seed, 1 otherwise.
+
 Exit status: 0 when every run is correct and no simulated-time metric or
 count differs, 1 otherwise, 2 on bad arguments.
 """
@@ -45,13 +57,24 @@ COUNTS = ("attempted", "failed", "overloaded")
 SIDES = ("parent", "change")
 
 
+def seed_list(text):
+    try:
+        seeds = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a list of seeds: " + text)
+    if not seeds:
+        raise argparse.ArgumentTypeError("no seeds given")
+    return seeds
+
+
 def load_json(*parts):
     with open(os.path.join(ROOT, *parts)) as f:
         return json.load(f)
 
 
-def run_once(binary, args, out_dir):
-    command = [binary, "--workload", args.workload, "--seed", str(args.seed),
+def run_once(binary, args, out_dir, seed=None):
+    seed = args.seed if seed is None else seed
+    command = [binary, "--workload", args.workload, "--seed", str(seed),
                "--seconds", str(args.seconds), "--trace", "0",
                "--out-dir", out_dir]
     # The binary stops repeating after 1.5 * --seconds; the rest covers the
@@ -94,15 +117,54 @@ def summarize(name, better, bound, runs):
              "yes" if worse <= bound else "NO"))
 
 
+def sim_metric_names(catalogue):
+    return sorted(n for n, m in catalogue.items()
+                  if m["kind"] == "end_to_end" and m["clock"] in
+                  ("sim", "count"))
+
+
+def compare_seeds(args, binaries, catalogue, bounds, out_dir):
+    """One run per binary and seed; True when all are correct and within
+    bound."""
+    ok = True
+    names = sim_metric_names(catalogue)
+    print("%s, %g s per run, seeds %s"
+          % (args.workload, args.seconds,
+             ", ".join(str(seed) for seed in args.sim_seeds)))
+    print("%-20s %8s %12s %12s %8s  %s"
+          % ("metric", "seed", "parent", "change", "ratio", "within bound"))
+    for seed in args.sim_seeds:
+        runs = {side: run_once(binaries[side], args, out_dir, seed)
+                for side in SIDES}
+        for side in SIDES:
+            if not runs[side]["correct"]:
+                print("incorrect run: %s seed %d" % (side, seed))
+                ok = False
+        for name in names:
+            parent = runs["parent"]["metrics"][name]
+            change = runs["change"]["metrics"][name]
+            sign = 1 if catalogue[name]["better"] == "higher" else -1
+            worse = -sign * (change - parent) / parent if parent else 0.0
+            within = worse <= bounds[name]
+            ok = ok and within
+            print("%-20s %8d %12.6g %12.6g %8.4f  %s (%g)"
+                  % (name, seed, parent, change,
+                     change / parent if parent else float("nan"),
+                     "yes" if within else "NO", bounds[name]), flush=True)
+        for count in COUNTS:
+            print("%-20s %8d %12.6g %12.6g"
+                  % (count + "/rep", seed, per_rep(runs["parent"], count),
+                     per_rep(runs["change"], count)))
+    return ok
+
+
 def per_rep(run, count):
     return run[count] / run["reps"]
 
 
 def simulated_differences(runs, catalogue):
     """(what, label, expected, got) for every sim/count mismatch."""
-    names = sorted(n for n, m in catalogue.items()
-                   if m["kind"] == "end_to_end" and m["clock"] in
-                   ("sim", "count"))
+    names = sim_metric_names(catalogue)
     reference = runs["parent"][0]
     diffs = []
     for side in SIDES:
@@ -125,11 +187,19 @@ def main():
     parser.add_argument("parent_bin")
     parser.add_argument("change_bin")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--seconds", required=True, type=float)
-    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--sim-seeds", type=seed_list,
+                        help="comma-separated seeds: one run per binary and "
+                        "seed, simulated-time metrics side by side")
     args = parser.parse_args()
-    if args.pairs < 1:
+    if args.sim_seeds is not None:
+        if args.seed is not None or args.pairs is not None:
+            parser.error("--sim-seeds replaces --seed and --pairs")
+    elif args.seed is None or args.pairs is None:
+        parser.error("--seed and --pairs are required without --sim-seeds")
+    elif args.pairs < 1:
         parser.error("--pairs must be at least 1")
     binaries = {"parent": os.path.abspath(args.parent_bin),
                 "change": os.path.abspath(args.change_bin)}
@@ -143,6 +213,12 @@ def main():
               for m in load_json("BENCHMARK.json")["end_to_end"]}
     runs = {side: [] for side in SIDES}
     out_dir = tempfile.mkdtemp(prefix="perfbench_pairs-")
+    if args.sim_seeds is not None:
+        try:
+            return 0 if compare_seeds(args, binaries, catalogue, bounds,
+                                      out_dir) else 1
+        finally:
+            shutil.rmtree(out_dir, ignore_errors=True)
     try:
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]

@@ -133,7 +133,7 @@ std::vector<std::string> BlockManager::seal_blocks(
     std::string block;
     block.reserve(kBlockHeader + len);
     put_u32(block, static_cast<std::uint32_t>(len));
-    put_u64(block, wal::fnv1a(chunk));
+    put_u64(block, wal::checksum(chunk));
     block.append(chunk);
     blocks.push_back(std::move(block));
   }
@@ -149,7 +149,7 @@ std::optional<std::string> BlockManager::unseal_blocks(
     const std::uint64_t sum = get_u64(*block, 4);
     if (block->size() != kBlockHeader + len) return std::nullopt;
     const std::string_view chunk{block->data() + kBlockHeader, len};
-    if (wal::fnv1a(chunk) != sum) return std::nullopt;  // torn block
+    if (wal::checksum(chunk) != sum) return std::nullopt;  // torn block
     payload.append(chunk);
   }
   return payload;

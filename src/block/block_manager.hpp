@@ -6,7 +6,7 @@
 //
 //   * Fixed-size blocks. A logical payload (a serialized leaf bucket, the
 //     root table) is split into block-sized chunks, each sealed with a
-//     length + FNV-1a checksum header; a half-written block from a torn
+//     length + wal::checksum header; a half-written block from a torn
 //     crash fails the checksum and the whole extent reads as nullopt.
 //
 //   * Extent allocation over a free-list. alloc_extent() takes the lowest
@@ -50,7 +50,7 @@ struct Extent {
 
 class BlockManager {
  public:
-  /// Bytes of header per physical block: u32 payload length + u64 FNV-1a.
+  /// Bytes of header per physical block: u32 payload length + u64 checksum.
   static constexpr std::uint32_t kBlockHeader = 12;
 
   BlockManager(SimDisk& disk, std::string device, std::uint32_t block_size);

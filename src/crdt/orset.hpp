@@ -11,11 +11,15 @@
 // context remembers killed dots, no tombstone set is needed: a kill simply
 // erases the live dot, and a late-arriving insert for a dot the context
 // already covers is a no-op. The cloud folds into the version vector as
-// dots become contiguous, but a dot whose predecessor never reaches this
-// replica stays in the cloud for good: context size is O(origins) plus the
-// dots stranded past a gap, and that second term grows with the history
-// (the durable_churn benchmark workload reaches ~3,300 cloud dots against
-// 15 vector entries).
+// dots become contiguous, and a dot whose predecessor has not reached this
+// replica waits in the cloud: context size is O(origins) plus the dots
+// stranded past a gap. Anti-entropy closes the gaps — the durable_churn
+// benchmark workload's live contexts hold no cloud dots against 3-14
+// vector entries at seed 1 — but a context rebuilt by replaying dot ops
+// alone misses the coverage snapshot joins merged in: replaying that
+// workload's whole WAL left 138-3,247 cloud dots per context. Recovery
+// therefore starts from a checkpointed context (the store's checkpoint
+// image) and replays only the tail.
 //
 // Replication is a stream of dot-level operations (DotOp): insert(e, d) and
 // kill(e, d). Each DotOp is idempotent and the pair for one dot commutes

@@ -142,6 +142,30 @@ wal::CollectionImage image_of(CollectionId id, const CollectionState& state) {
   return coll;
 }
 
+/// A fragment's full OR-Set state: what a full-state orset.pull reply ships
+/// and what a checkpoint stores.
+wal::OrSetImage orset_image_of(CollectionId id, const crdt::OrSet& set) {
+  wal::OrSetImage image;
+  image.collection = id.raw();
+  const crdt::DotContext& ctx = set.context();
+  image.context_vector.assign(ctx.vector().begin(), ctx.vector().end());
+  image.context_cloud.reserve(ctx.cloud().size());
+  for (const crdt::Dot dot : ctx.cloud()) {
+    image.context_cloud.emplace_back(dot.origin(), dot.counter());
+  }
+  const std::vector<crdt::DotOp> live = set.export_live();
+  image.live.reserve(live.size());
+  for (const crdt::DotOp& op : live) {
+    image.live.push_back({op.element().id().raw(), op.element().home().raw(),
+                          op.dot().origin(), op.dot().counter()});
+  }
+  return image;
+}
+
+ObjectRef element_of(const wal::OrSetImage::LiveDot& dot) {
+  return ObjectRef{ObjectId{dot.object}, NodeId{dot.home}};
+}
+
 Failure wrong_epoch(std::uint64_t directory_epoch) {
   return Failure{FailureKind::kWrongEpoch, std::to_string(directory_epoch)};
 }
@@ -846,11 +870,9 @@ Task<Result<Payload>> StoreServer::handle_pull(NodeId /*from*/,
 
 void StoreServer::orset_wal_append(Hosted& entry, const crdt::DotOp& op) {
   if (!options_.durability.enabled || wal_suspended_) return;
-  // No arm_checkpoint(): checkpoints cannot capture OR-Set state (the dot
-  // context has no image form yet), so the WAL is the fragment's only
-  // durable history and is never truncated while it is hosted here.
   last_wal_index_ = wal_->append(
       orset_wal_record(entry.state.id(), op, entry.state.incarnation()));
+  arm_checkpoint();
 }
 
 void StoreServer::orset_append_local(Hosted& entry, const crdt::DotOp& op) {
@@ -934,27 +956,22 @@ Task<Result<Payload>> StoreServer::handle_orset_pull(NodeId /*from*/,
   // below the bounded log window: ship the full state for a join.
   if (req.incarnation() != incarnation || req.after_seq() < log_floor ||
       req.after_seq() > entry.orset_last_seq) {
+    wal::OrSetImage image = orset_image_of(req.id(), *entry.orset);
     std::vector<msg::OrSetWireOp> live;
-    const std::vector<crdt::DotOp> exported = entry.orset->export_live();
-    live.reserve(exported.size());
-    for (const crdt::DotOp& op : exported) live.push_back(to_wire(op));
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ctx_vector;
-    const auto& vv = entry.orset->context().vector();
-    ctx_vector.assign(vv.begin(), vv.end());
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ctx_cloud;
-    ctx_cloud.reserve(entry.orset->context().cloud().size());
-    for (const crdt::Dot dot : entry.orset->context().cloud()) {
-      ctx_cloud.emplace_back(dot.origin(), dot.counter());
+    live.reserve(image.live.size());
+    for (const wal::OrSetImage::LiveDot& dot : image.live) {
+      live.emplace_back(msg::OrSetWireOp::kInsert, element_of(dot),
+                        dot.origin, dot.counter);
     }
     const std::uint64_t end_seq = entry.orset_last_seq;
-    const std::size_t entries =
-        live.size() + ctx_vector.size() + ctx_cloud.size();
+    const std::size_t entries = live.size() + image.context_vector.size() +
+                                image.context_cloud.size();
     metrics_.add(kMetrics.orset_pull_snapshots);
     metrics_.add(kMetrics.orset_pull_entries_shipped, entries);
     if (!co_await ship(entries, epoch)) co_return node_crashed();
     co_return Payload{msg::OrSetPullReply::snapshot(
-        std::move(live), std::move(ctx_vector), std::move(ctx_cloud), end_seq,
-        incarnation)};
+        std::move(live), std::move(image.context_vector),
+        std::move(image.context_cloud), end_seq, incarnation)};
   }
   std::vector<msg::OrSetWireOp> ops;
   ops.reserve(static_cast<std::size_t>(entry.orset_last_seq - req.after_seq()));
@@ -1059,7 +1076,6 @@ Task<bool> StoreServer::write_checkpoint(std::uint64_t epoch) {
   // at the same instant is exactly the prefix the image covers, so the
   // truncation below is safe even though appends continue during the write.
   wal::CheckpointImage image;
-  bool hosts_orset = false;
   std::vector<const Hosted*> backed;
   for (const CollectionId id : hosted_ids_sorted()) {
     const Hosted& entry = *collections_.at(id);
@@ -1067,10 +1083,8 @@ Task<bool> StoreServer::write_checkpoint(std::uint64_t epoch) {
     // WAL prefix holding the kMigrationDone record truncates), the migrated
     // fragment is durably gone from this node.
     if (entry.retired) continue;
-    // OR-Set fragments stay out too: CollectionImage has no dot-context
-    // form, so their durable history is the untruncated WAL (below).
     if (entry.orset != nullptr) {
-      hosts_orset = true;
+      image.orsets.push_back(orset_image_of(id, *entry.orset));
       continue;
     }
     // Block-backed fragments checkpoint incrementally through the engine
@@ -1106,13 +1120,8 @@ Task<bool> StoreServer::write_checkpoint(std::uint64_t epoch) {
   const bool written = co_await disk_->write_file(kCheckpointFile,
                                                   std::move(bytes));
   if (!written || epoch != epoch_) co_return false;
-  if (!hosts_orset) {
-    // With an OR-Set fragment aboard the WAL must be kept whole: the image
-    // above does not cover it, so a truncation would orphan its history.
-    // (Compacting dot streams into checkpoints is ROADMAP follow-on work.)
-    disk_->truncate_log_prefix(kWalFile, wal_mark);
-    wal_->notify_progress();
-  }
+  disk_->truncate_log_prefix(kWalFile, wal_mark);
+  wal_->notify_progress();
   metrics_.add(kMetrics.wal_checkpoints);
   metrics_.record(kMetrics.wal_checkpoint, net_.sim().now() - start);
   co_return true;
@@ -1176,10 +1185,11 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
     entry.deferred_removes.clear();
     if (entry.orset != nullptr) {
       // Amnesia: the CRDT state, the outbound op log, and every pull cursor
-      // are volatile. WAL replay (reconstruct below) rebuilds the set; the
-      // reset cursors make the first post-recovery pulls full-state joins,
-      // which also re-covers context the WAL never carried (join merges
-      // peers' contexts wholesale but only the *effective* ops were logged).
+      // are volatile. The checkpoint image plus the WAL tail (reconstruct
+      // below) rebuild the set; the reset cursors make the first
+      // post-recovery pulls full-state joins, which also re-cover context
+      // a join merged in since the last checkpoint (join merges peers'
+      // contexts wholesale but WALs only the *effective* ops).
       *entry.orset = crdt::OrSet{ids[i]};
       entry.orset_log.clear();
       entry.orset_last_seq = 0;
@@ -1267,6 +1277,26 @@ StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
                                   coll.last_seq, coll.applied_seq,
                                   coll.incarnation);
       }
+      // An OR-Set fragment is its dot context plus its live dots: joining
+      // the wiped set with that pair rebuilds it, and the WAL tail below
+      // replays on top.
+      for (const wal::OrSetImage& orset : image->orsets) {
+        const auto it = collections_.find(CollectionId{orset.collection});
+        if (it == collections_.end() || it->second->retired ||
+            it->second->orset == nullptr) {
+          continue;
+        }
+        std::vector<crdt::DotOp> live;
+        live.reserve(orset.live.size());
+        for (const wal::OrSetImage::LiveDot& dot : orset.live) {
+          live.emplace_back(crdt::DotOp::Kind::kInsert, element_of(dot),
+                            crdt::Dot{dot.origin, dot.counter});
+        }
+        (void)it->second->orset->join(
+            crdt::DotContext::from_parts(orset.context_vector,
+                                         orset.context_cloud),
+            live);
+      }
     }
   }
 
@@ -1326,10 +1356,10 @@ StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
       }
       // Dot ops are idempotent and order-insensitive, and dots are globally
       // unique across incarnations (the origin is incarnation-salted), so
-      // the whole retained history replays unconditionally — no contiguity
-      // or incarnation gating like the sequenced streams below. The
-      // outbound log is NOT rebuilt: peers detect the incarnation change
-      // and full-state resync instead of chasing replayed seqs.
+      // the tail replays unconditionally on top of the image — no
+      // contiguity or incarnation gating like the sequenced streams below.
+      // The outbound log is NOT rebuilt: peers detect the incarnation
+      // change and full-state resync instead of chasing replayed seqs.
       const crdt::DotOp op{rec->kind == wal::WalRecord::kOrSetKill
                                ? crdt::DotOp::Kind::kKill
                                : crdt::DotOp::Kind::kInsert,

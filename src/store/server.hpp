@@ -389,8 +389,8 @@ class StoreServer {
   /// Appends a *local* dot op to the outbound log (trimming to the cap) and
   /// WALs it.
   void orset_append_local(Hosted& entry, const crdt::DotOp& op);
-  /// WAL-appends one applied dot op (no-op when durability is off or during
-  /// recovery replay).
+  /// WAL-appends one applied dot op and arms the checkpoint (no-op when
+  /// durability is off or during recovery replay).
   void orset_wal_append(Hosted& entry, const crdt::DotOp& op);
   /// Applies one local membership write in the fragment's mode (dots minted
   /// or killed and logged for OR-Set, a sequenced op otherwise); true if

@@ -1,6 +1,8 @@
 #include "wal/wal.hpp"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace weakset::wal {
 namespace {
@@ -16,41 +18,126 @@ struct WalMetrics {
 };
 const WalMetrics kMetrics{};
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    const auto byte =
-        static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]);
-    v |= static_cast<std::uint64_t>(byte) << (8 * i);
+/// On-disk integers are little-endian whatever the host.
+std::uint64_t little_endian(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap64(v);
   }
   return v;
 }
 
-void seal(std::string& out) { put_u64(out, fnv1a(out)); }
+/// One 8-byte copy. Encoders reserve `out` to its final size first, so no
+/// append reallocates.
+void put_u64(std::string& out, std::uint64_t v) {
+  v = little_endian(v);
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return little_endian(v);
+}
+
+void seal(std::string& out) { put_u64(out, checksum(out)); }
 
 /// Checks and strips the trailing checksum; nullopt on mismatch.
 std::optional<std::string_view> unseal(std::string_view bytes) {
   if (bytes.size() < 8) return std::nullopt;
   const std::string_view payload = bytes.substr(0, bytes.size() - 8);
-  if (get_u64(bytes, bytes.size() - 8) != fnv1a(payload)) return std::nullopt;
+  if (get_u64(bytes, bytes.size() - 8) != checksum(payload)) {
+    return std::nullopt;
+  }
   return payload;
+}
+
+/// Bounds-checked cursor over a checksum-verified checkpoint payload.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
+
+  [[nodiscard]] std::size_t left() const { return bytes_.size() - at_; }
+
+  /// The next word; the caller has checked that left() covers it.
+  std::uint64_t u64() {
+    const std::uint64_t v = get_u64(bytes_, at_);
+    at_ += 8;
+    return v;
+  }
+
+  /// A count of items `item_bytes` long each; nullopt if the count is
+  /// missing or the bytes left cannot hold that many items. Checked by
+  /// division, so a count read from disk can neither overflow a multiply
+  /// nor size an allocation beyond the payload.
+  std::optional<std::size_t> count(std::size_t item_bytes) {
+    if (left() < 8) return std::nullopt;
+    const std::uint64_t n = u64();
+    if (n > left() / item_bytes) return std::nullopt;
+    return static_cast<std::size_t>(n);
+  }
+
+  /// A counted run of (u64, u64) pairs; false on a bad count.
+  bool pairs(std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
+    const auto n = count(16);
+    if (!n) return false;
+    out.reserve(*n);
+    for (std::size_t i = 0; i < *n; ++i) {
+      const std::uint64_t first = u64();
+      out.emplace_back(first, u64());
+    }
+    return true;
+  }
+
+ private:
+  std::string_view bytes_;
+  std::size_t at_ = 0;
+};
+
+void put_pairs(std::string& out,
+               const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
+                   pairs) {
+  put_u64(out, pairs.size());
+  for (const auto& [first, second] : pairs) {
+    put_u64(out, first);
+    put_u64(out, second);
+  }
+}
+
+/// Header bytes of one collection image (five fields and the member
+/// count) and of one OR-Set image (the id and three counts).
+constexpr std::size_t kCollectionHeader = 48;
+constexpr std::size_t kOrSetHeader = 32;
+
+std::size_t encoded_size(const CheckpointImage& image) {
+  std::size_t size = 16;  // collection count + checksum
+  for (const CollectionImage& coll : image.collections) {
+    size += kCollectionHeader + 16 * coll.members.size();
+  }
+  if (!image.orsets.empty()) size += 8;
+  for (const OrSetImage& orset : image.orsets) {
+    size += kOrSetHeader +
+            16 * (orset.context_vector.size() + orset.context_cloud.size()) +
+            32 * orset.live.size();
+  }
+  return size;
 }
 
 }  // namespace
 
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+std::uint64_t checksum(std::string_view bytes) {
+  // Both steps are x -> (x ^ input) * odd constant, the word step then
+  // rotated so high bits feed back into low ones: bijections of the sum.
+  constexpr std::uint64_t kWordMul = 0x9e3779b97f4a7c15ull;
+  constexpr std::uint64_t kByteMul = 0x100000001b3ull;
+  std::uint64_t sum = 0xcbf29ce484222325ull;
+  std::size_t at = 0;
+  for (; bytes.size() - at >= 8; at += 8) {
+    sum = std::rotl((sum ^ get_u64(bytes, at)) * kWordMul, 31);
   }
-  return h;
+  for (; at < bytes.size(); ++at) {
+    sum = (sum ^ static_cast<unsigned char>(bytes[at])) * kByteMul;
+  }
+  return sum;
 }
 
 std::string encode(const WalRecord& rec) {
@@ -83,6 +170,7 @@ std::optional<WalRecord> decode_record(std::string_view bytes) {
 
 std::string encode(const CheckpointImage& image) {
   std::string out;
+  out.reserve(encoded_size(image));
   put_u64(out, image.collections.size());
   for (const CollectionImage& coll : image.collections) {
     put_u64(out, coll.collection);
@@ -90,10 +178,21 @@ std::string encode(const CheckpointImage& image) {
     put_u64(out, coll.version);
     put_u64(out, coll.last_seq);
     put_u64(out, coll.applied_seq);
-    put_u64(out, coll.members.size());
-    for (const auto& [object, home] : coll.members) {
-      put_u64(out, object);
-      put_u64(out, home);
+    put_pairs(out, coll.members);
+  }
+  if (!image.orsets.empty()) {
+    put_u64(out, image.orsets.size());
+    for (const OrSetImage& orset : image.orsets) {
+      put_u64(out, orset.collection);
+      put_pairs(out, orset.context_vector);
+      put_pairs(out, orset.context_cloud);
+      put_u64(out, orset.live.size());
+      for (const OrSetImage::LiveDot& dot : orset.live) {
+        put_u64(out, dot.object);
+        put_u64(out, dot.home);
+        put_u64(out, dot.origin);
+        put_u64(out, dot.counter);
+      }
     }
   }
   seal(out);
@@ -102,32 +201,45 @@ std::string encode(const CheckpointImage& image) {
 
 std::optional<CheckpointImage> decode_checkpoint(std::string_view bytes) {
   const auto payload = unseal(bytes);
-  if (!payload || payload->size() < 8) return std::nullopt;
-  std::size_t at = 0;
-  const auto need = [&](std::size_t n) { return payload->size() - at >= n; };
-  const std::uint64_t n_colls = get_u64(*payload, at);
-  at += 8;
+  if (!payload) return std::nullopt;
+  Reader in{*payload};
+  const auto n_colls = in.count(kCollectionHeader);
+  if (!n_colls) return std::nullopt;
   CheckpointImage image;
-  for (std::uint64_t i = 0; i < n_colls; ++i) {
-    if (!need(48)) return std::nullopt;
-    CollectionImage coll;
-    coll.collection = get_u64(*payload, at);
-    coll.incarnation = get_u64(*payload, at + 8);
-    coll.version = get_u64(*payload, at + 16);
-    coll.last_seq = get_u64(*payload, at + 24);
-    coll.applied_seq = get_u64(*payload, at + 32);
-    const std::uint64_t n_members = get_u64(*payload, at + 40);
-    at += 48;
-    if (!need(n_members * 16)) return std::nullopt;
-    coll.members.reserve(static_cast<std::size_t>(n_members));
-    for (std::uint64_t m = 0; m < n_members; ++m) {
-      coll.members.emplace_back(get_u64(*payload, at),
-                                get_u64(*payload, at + 8));
-      at += 16;
-    }
-    image.collections.push_back(std::move(coll));
+  image.collections.reserve(*n_colls);
+  for (std::size_t i = 0; i < *n_colls; ++i) {
+    if (in.left() < kCollectionHeader) return std::nullopt;
+    CollectionImage& coll = image.collections.emplace_back();
+    coll.collection = in.u64();
+    coll.incarnation = in.u64();
+    coll.version = in.u64();
+    coll.last_seq = in.u64();
+    coll.applied_seq = in.u64();
+    if (!in.pairs(coll.members)) return std::nullopt;
   }
-  if (at != payload->size()) return std::nullopt;
+  if (in.left() == 0) return image;  // no OR-Set section
+  const auto n_orsets = in.count(kOrSetHeader);
+  if (!n_orsets) return std::nullopt;
+  image.orsets.reserve(*n_orsets);
+  for (std::size_t i = 0; i < *n_orsets; ++i) {
+    if (in.left() < kOrSetHeader) return std::nullopt;
+    OrSetImage& orset = image.orsets.emplace_back();
+    orset.collection = in.u64();
+    if (!in.pairs(orset.context_vector) || !in.pairs(orset.context_cloud)) {
+      return std::nullopt;
+    }
+    const auto n_live = in.count(32);
+    if (!n_live) return std::nullopt;
+    orset.live.reserve(*n_live);
+    for (std::size_t d = 0; d < *n_live; ++d) {
+      OrSetImage::LiveDot& dot = orset.live.emplace_back();
+      dot.object = in.u64();
+      dot.home = in.u64();
+      dot.origin = in.u64();
+      dot.counter = in.u64();
+    }
+  }
+  if (in.left() != 0) return std::nullopt;
   return image;
 }
 

@@ -5,9 +5,9 @@
 //
 // The codec layer is deliberately store-agnostic: records carry raw 64-bit
 // ids, so weakset_wal depends only on sim/obs/util and the store layer does
-// the CollectionOp <-> WalRecord conversion. Every encoded blob ends with an
-// FNV-1a checksum; decode returns nullopt on any mismatch, which is how a
-// torn tail manifests to recovery.
+// the CollectionOp <-> WalRecord conversion. Every encoded blob ends with a
+// word-at-a-time checksum (see checksum()); decode returns nullopt on any
+// mismatch, which is how a torn tail manifests to recovery.
 
 #include <cstdint>
 #include <memory>
@@ -37,10 +37,11 @@ struct WalRecord {
   static constexpr std::uint8_t kRemove = 1;
   static constexpr std::uint8_t kMigrationBegin = 2;
   static constexpr std::uint8_t kMigrationDone = 3;
-  /// OR-Set dot ops (ReplicationMode::kOrSet, DESIGN.md decision 16): the
-  /// fragment's durable history is the stream of effective dot-level
-  /// operations, local and remote alike. `seq` carries the dot counter and
-  /// `origin` the dot's minting replica — together the globally unique tag.
+  /// OR-Set dot ops (ReplicationMode::kOrSet, DESIGN.md decision 16): past
+  /// the fragment's last checkpoint image (OrSetImage), its durable history
+  /// is the stream of effective dot-level operations, local and remote
+  /// alike. `seq` carries the dot counter and `origin` the dot's minting
+  /// replica — together the globally unique tag.
   static constexpr std::uint8_t kOrSetInsert = 4;
   static constexpr std::uint8_t kOrSetKill = 5;
 
@@ -54,7 +55,11 @@ struct WalRecord {
   std::uint64_t origin = 0;
 };
 
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes);
+/// Checksum sealing every WAL record, checkpoint and block: folds eight
+/// bytes per step, then the remaining bytes one at a time. Every step is a
+/// bijection of the running sum, and of its input word for a fixed sum, so
+/// changing any single word or byte always changes the result.
+[[nodiscard]] std::uint64_t checksum(std::string_view bytes);
 
 [[nodiscard]] std::string encode(const WalRecord& rec);
 /// nullopt on short, trailing-garbage, or checksum-failing input.
@@ -71,12 +76,38 @@ struct CollectionImage {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> members;
 };
 
-/// A whole-server checkpoint: every hosted collection at one instant.
+/// Snapshot of one hosted OR-Set fragment (DESIGN.md decision 16): its dot
+/// context and its live dots, the same state a full-state orset.pull reply
+/// ships. Joining an empty replica with the pair rebuilds the fragment.
+struct OrSetImage {
+  /// One live dot of one element.
+  struct LiveDot {
+    std::uint64_t object = 0;
+    std::uint64_t home = 0;
+    std::uint64_t origin = 0;
+    std::uint64_t counter = 0;
+    friend bool operator==(const LiveDot&, const LiveDot&) = default;
+  };
+
+  std::uint64_t collection = 0;
+  /// Dot-context version vector, as (origin, counter) pairs.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> context_vector;
+  /// Dot-context cloud, as (origin, counter) pairs.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> context_cloud;
+  std::vector<LiveDot> live;
+};
+
+/// A whole-server checkpoint: every hosted collection at one instant. The
+/// OR-Set images are a trailing section, written only when there is one:
+/// a server without OR-Set fragments writes no OR-Set count at all.
 struct CheckpointImage {
   std::vector<CollectionImage> collections;
+  std::vector<OrSetImage> orsets;
 };
 
 [[nodiscard]] std::string encode(const CheckpointImage& image);
+/// nullopt on short, trailing-garbage or checksum-failing input, and on any
+/// count larger than the bytes left to hold it.
 [[nodiscard]] std::optional<CheckpointImage> decode_checkpoint(
     std::string_view bytes);
 

@@ -1,7 +1,7 @@
 // End-to-end tests for ReplicationMode::kOrSet (src/crdt, DESIGN.md decision
 // 16): multi-master writes at any host, all-pairs anti-entropy convergence,
-// partition availability where home-primary mode blocks, and WAL-backed
-// amnesia recovery of the CRDT state.
+// partition availability where home-primary mode blocks, and amnesia
+// recovery of the CRDT state from its checkpoint image and WAL tail.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "spec/repo_truth.hpp"
 #include "spec/specs.hpp"
 #include "store/client.hpp"
@@ -60,6 +61,8 @@ class OrSetReplicationTest : public ::testing::Test {
     return repo.server_at(hosts[host])->orset_state(coll);
   }
 
+  /// Outlives the servers that record into it (the destructor drains them).
+  obs::MetricsRegistry metrics;
   Simulator sim;
   Topology topo;
   NodeId client_node;
@@ -229,6 +232,100 @@ TEST_F(OrSetReplicationTest, AmnesiaCrashReplaysWalAndResyncsWithPeers) {
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     EXPECT_TRUE(orset_at(i)->contains(after)) << "host " << i;
   }
+}
+
+TEST_F(OrSetReplicationTest, CheckpointedHostReplaysOnlyItsTail) {
+  StoreServerOptions opts;
+  opts.pull_interval = Duration::millis(20);
+  opts.durability.durable_acks = true;
+  opts.durability.fsync_interval = Duration::millis(1);
+  opts.durability.checkpoint_interval = Duration::millis(100);
+  opts.metrics = &metrics;
+  build(opts);
+  // Every write below lands on host0: the hosts are equally near and the
+  // client breaks the tie by node id.
+  RepositoryClient client{repo, client_node};
+  std::vector<ObjectRef> acked;
+  // A history of 60 dot ops, covered by the checkpoint it arms.
+  for (int i = 0; i < 40; ++i) {
+    const ObjectRef ref = repo.create_object(hosts[0], "h" + std::to_string(i));
+    ASSERT_TRUE(run_task(sim, client.add(coll, ref)).value_or(false));
+    if (i % 2 == 0) {
+      ASSERT_TRUE(run_task(sim, client.remove(coll, ref)).value_or(false));
+    } else {
+      acked.push_back(ref);
+    }
+  }
+  sleep_for(Duration::millis(300));
+  // The tail: three acked adds, and the crash comes before the checkpoint
+  // they arm.
+  for (int i = 0; i < 3; ++i) {
+    acked.push_back(repo.create_object(hosts[0], "t" + std::to_string(i)));
+    ASSERT_TRUE(run_task(sim, client.add(coll, acked.back())).value_or(false));
+  }
+  const std::uint64_t replayed_before = metrics.counter("wal.ops_replayed");
+  topo.crash(hosts[0], Topology::CrashKind::kAmnesia);
+  for (const ObjectRef ref : acked) {
+    EXPECT_TRUE(orset_at(0)->contains(ref)) << ref.id().raw();
+  }
+  EXPECT_EQ(orset_at(0)->size(), acked.size());
+  topo.restart(hosts[0]);
+  sleep_for(Duration::millis(50));
+  ASSERT_TRUE(repo.server_at(hosts[0])->serving());
+  // Only the tail replays; the checkpoint image holds the rest.
+  EXPECT_EQ(metrics.counter("wal.ops_replayed") - replayed_before, 3u);
+}
+
+TEST_F(OrSetReplicationTest, JoinLearnedContextSurvivesCheckpointAndRecovery) {
+  StoreServerOptions opts;
+  opts.pull_interval = Duration::millis(20);
+  opts.membership_log_cap = 2;
+  // Checkpoints are taken by hand below.
+  opts.durability.checkpoint_interval = Duration::seconds(1000);
+  opts.metrics = &metrics;
+  build(opts);
+  sleep_for(Duration::millis(100));  // the hosts' pull cursors settle
+
+  // Cut host0 off, so the client writes at host1 instead.
+  topo.set_routing(Topology::Routing::kDirectOnly);
+  const auto link_host0 = [&](bool up) {
+    for (const NodeId other : {client_node, hosts[1], hosts[2]}) {
+      topo.set_link_up(hosts[0], other, up);
+    }
+  };
+  link_host0(false);
+  RepositoryClient client{repo, client_node};
+  // Born and killed at host1: host0 never sees the dot as an op. Three
+  // local ops overrun host1's two-op log, so host0's next pull is a
+  // snapshot join.
+  const ObjectRef gone = repo.create_object(hosts[1], "gone");
+  ASSERT_TRUE(run_task(sim, client.add(coll, gone)).value_or(false));
+  const std::vector<crdt::DotOp> live = orset_at(1)->export_live();
+  ASSERT_EQ(live.size(), 1u);
+  const crdt::Dot dot = live.front().dot();
+  ASSERT_TRUE(run_task(sim, client.remove(coll, gone)).value_or(false));
+  const ObjectRef kept = repo.create_object(hosts[1], "kept");
+  ASSERT_TRUE(run_task(sim, client.add(coll, kept)).value_or(false));
+
+  const std::uint64_t joins_before =
+      metrics.counter("store.orset.snapshot_joins");
+  link_host0(true);
+  sleep_for(Duration::millis(100));
+  ASSERT_GT(metrics.counter("store.orset.snapshot_joins"), joins_before);
+  ASSERT_TRUE(orset_at(0)->contains(kept));
+  ASSERT_FALSE(orset_at(0)->contains(gone));
+  ASSERT_TRUE(orset_at(0)->context().contains(dot));
+
+  ASSERT_TRUE(run_task(sim, repo.server_at(hosts[0])->checkpoint_now()));
+  // No post-recovery pull may re-teach the dot.
+  link_host0(false);
+  topo.crash(hosts[0], Topology::CrashKind::kAmnesia);
+  topo.restart(hosts[0]);
+  sleep_for(Duration::millis(50));
+  ASSERT_TRUE(repo.server_at(hosts[0])->serving());
+  EXPECT_TRUE(orset_at(0)->context().contains(dot));
+  EXPECT_TRUE(orset_at(0)->contains(kept));
+  EXPECT_FALSE(orset_at(0)->contains(gone));
 }
 
 TEST_F(OrSetReplicationTest, OrSetFragmentsRefuseMigration) {

@@ -190,6 +190,106 @@ TEST(WalCodec, CheckpointRoundTrips) {
   EXPECT_FALSE(wal::decode_checkpoint(bytes + "x"));
 }
 
+/// Little-endian bytes of `v`, as the codec lays out every integer.
+std::string le64(std::uint64_t v) {
+  std::string out;
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+  return out;
+}
+
+/// `payload` with its checksum appended, as the codec seals it.
+std::string sealed(const std::string& payload) {
+  return payload + le64(wal::checksum(payload));
+}
+
+wal::CheckpointImage image_with_orsets() {
+  wal::CheckpointImage image;
+  image.collections.push_back(wal::CollectionImage{.collection = 1,
+                                                   .incarnation = 2,
+                                                   .version = 9,
+                                                   .last_seq = 7,
+                                                   .applied_seq = 7,
+                                                   .members = {{10, 1}}});
+  image.orsets.push_back(wal::OrSetImage{
+      .collection = 3,
+      .context_vector = {{0x10001, 4}, {0x20001, 0}},
+      .context_cloud = {{0x20001, 2}, {0x20001, 5}},
+      .live = {{.object = 11, .home = 2, .origin = 0x10001, .counter = 3},
+               {.object = 12, .home = 1, .origin = 0x20001, .counter = 5}}});
+  image.orsets.push_back(wal::OrSetImage{.collection = 4});
+  return image;
+}
+
+TEST(WalCodec, CheckpointWithOrSetImagesRoundTrips) {
+  const wal::CheckpointImage image = image_with_orsets();
+  const auto back = wal::decode_checkpoint(wal::encode(image));
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->collections.size(), 1u);
+  EXPECT_EQ(back->collections[0].members, image.collections[0].members);
+  ASSERT_EQ(back->orsets.size(), 2u);
+  for (std::size_t i = 0; i < image.orsets.size(); ++i) {
+    EXPECT_EQ(back->orsets[i].collection, image.orsets[i].collection);
+    EXPECT_EQ(back->orsets[i].context_vector, image.orsets[i].context_vector);
+    EXPECT_EQ(back->orsets[i].context_cloud, image.orsets[i].context_cloud);
+    EXPECT_EQ(back->orsets[i].live, image.orsets[i].live);
+  }
+}
+
+TEST(WalCodec, CheckpointWithoutOrSetsKeepsItsLayout) {
+  wal::CheckpointImage image;
+  image.collections.push_back(
+      wal::CollectionImage{.collection = 5,
+                           .incarnation = 1,
+                           .version = 3,
+                           .last_seq = 4,
+                           .applied_seq = 2,
+                           .members = {{7, 1}, {8, 2}}});
+  // Count, then per collection five fields, the member count and the
+  // pairs: no OR-Set count follows when there is no OR-Set fragment.
+  const std::string payload = le64(1) + le64(5) + le64(1) + le64(3) +
+                              le64(4) + le64(2) + le64(2) + le64(7) +
+                              le64(1) + le64(8) + le64(2);
+  EXPECT_EQ(wal::encode(image), sealed(payload));
+  EXPECT_EQ(wal::encode(wal::CheckpointImage{}), sealed(le64(0)));
+}
+
+TEST(WalCodec, CheckpointDecodeRejectsTruncationAndOversizedCounts) {
+  const std::string bytes = wal::encode(image_with_orsets());
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(wal::decode_checkpoint(bytes.substr(0, len))) << len;
+  }
+  // Counts that the bytes after them cannot hold, under a valid checksum.
+  // 2^60 * 16 and 2^59 * 32 wrap to 0 in 64 bits: a decoder that checks
+  // `n * size` against the bytes left would pass them and then reserve.
+  const std::uint64_t wraps16 = std::uint64_t{1} << 60;
+  const std::uint64_t wraps32 = std::uint64_t{1} << 59;
+  const std::string collection = le64(5) + le64(1) + le64(0) + le64(0) +
+                                 le64(0);
+  const std::string orset = le64(0) + le64(1) + le64(3);  // no collection
+  const std::vector<std::pair<const char*, std::string>> bad = {
+      {"collections wrap", le64(wraps16)},
+      {"collections past the end", le64(2) + collection + le64(0)},
+      {"members wrap", le64(1) + collection + le64(wraps16)},
+      {"members past the end",
+       le64(1) + collection + le64(2) + le64(7) + le64(1)},
+      {"OR-Sets wrap", le64(0) + le64(wraps16)},
+      {"OR-Set cut short", orset},
+      {"context vector wraps", orset + le64(wraps16)},
+      {"context cloud past the end", orset + le64(0) + le64(1)},
+      {"live dots wrap", orset + le64(0) + le64(0) + le64(wraps32)},
+      {"trailing byte", orset + le64(0) + le64(0) + le64(0) + "x"},
+  };
+  for (const auto& [what, payload] : bad) {
+    EXPECT_FALSE(wal::decode_checkpoint(sealed(payload))) << what;
+  }
+  // The same framing with honest counts decodes.
+  EXPECT_TRUE(wal::decode_checkpoint(sealed(le64(1) + collection + le64(0))));
+  EXPECT_TRUE(wal::decode_checkpoint(
+      sealed(orset + le64(0) + le64(0) + le64(0))));
+}
+
 // --- WalWriter -------------------------------------------------------------
 
 wal::WalRecord make_record(std::uint64_t seq) {
