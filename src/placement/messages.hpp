@@ -6,10 +6,10 @@
 //
 // Every type has user-provided constructors (non-aggregate) — required by
 // the GCC 12 coroutine workaround documented in DESIGN.md decision 6. The
-// catch-up stream of a migration reuses the store's anti-entropy payloads
-// (msg::SyncRequest/SyncReply over "mig.ops") and the dual-home forward
-// reuses msg::HandoffApplyRequest/Reply over "mig.apply"; only the shapes
-// unique to placement live here.
+// ops of a migration's source stream travel as the store's
+// msg::SyncRequest — a catch-up batch over "mig.ops", one forwarded op
+// over "mig.apply" — and both answer msg::HandoffApplyReply; only the
+// shapes unique to placement live here.
 
 #include <cstdint>
 #include <utility>

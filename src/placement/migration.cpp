@@ -27,7 +27,7 @@ const MigrationMetrics kMetrics{};
 
 }  // namespace
 
-namespace smsg = weakset::msg;  // store-layer payloads (sync, handoff apply)
+namespace smsg = weakset::msg;  // store-layer payloads (source-stream ops)
 
 MigrationEngine::MigrationEngine(Repository& repo, NodeId node,
                                  MigrationEngineOptions options)
@@ -219,20 +219,20 @@ Task<Result<std::uint64_t>> MigrationEngine::run_source(StoreServer* server,
       handoff_seq = state->last_seq();
     }
     if (handoff_seq && cursor >= *handoff_seq) break;
-    if (!state->can_serve_ops_since(cursor)) {
+    if (!state->log().covers(cursor)) {
       // The fragment is mutating faster than its retained log window; a
       // bigger membership_log_cap (or a quieter moment) is needed.
       co_return co_await abort_source(
           server, id, target,
           Failure{FailureKind::kExhausted, "op log truncated mid-migration"});
     }
-    std::vector<CollectionOp> ops = state->ops_since(cursor);
+    std::vector<CollectionOp> ops = state->log().since(cursor);
     const std::uint64_t shipped_to = state->last_seq();
     co_await sim.delay(entry_cost * static_cast<std::int64_t>(ops.size()));
     if (!still_source(server, id, incarnation)) {
       co_return Failure{FailureKind::kNodeCrashed, "source crashed"};
     }
-    auto sync = co_await call<smsg::SyncReply>(
+    auto sync = co_await call<smsg::HandoffApplyReply>(
         target, "mig.ops",
         smsg::SyncRequest{id, std::move(ops), image.incarnation});
     if (!still_source(server, id, incarnation)) {
@@ -282,28 +282,19 @@ Task<Result<std::uint64_t>> MigrationEngine::run_source(StoreServer* server,
 // Target side
 
 void MigrationEngine::staging_apply(Staging& staging, const CollectionOp& op) {
-  if (op.seq() <= staging.applied_seq) return;  // duplicate delivery
-  if (op.seq() != staging.applied_seq + 1) {
+  CollectionState& state = staging.state;
+  if (op.seq() > state.applied_seq() + 1) {
     // A dual-home forward overtook a catch-up batch in flight; hold it
     // until the stream is contiguous again.
     staging.pending.emplace(op.seq(), op);
     return;
   }
-  staging.applied_seq = op.seq();
-  const bool effective = op.kind() == CollectionOp::Kind::kAdd
-                             ? staging.members.insert(op.ref())
-                             : staging.members.erase(op.ref());
-  if (effective) ++staging.version;
+  state.apply(op);  // ignores a duplicate delivery
   // Drain any buffered successors that are now contiguous.
   auto it = staging.pending.begin();
-  while (it != staging.pending.end() && it->first == staging.applied_seq + 1) {
-    const CollectionOp next = it->second;
+  while (it != staging.pending.end() && it->first == state.applied_seq() + 1) {
+    state.apply(it->second);
     it = staging.pending.erase(it);
-    staging.applied_seq = next.seq();
-    const bool next_effective = next.kind() == CollectionOp::Kind::kAdd
-                                    ? staging.members.insert(next.ref())
-                                    : staging.members.erase(next.ref());
-    if (next_effective) ++staging.version;
   }
 }
 
@@ -332,9 +323,9 @@ Task<Result<Payload>> MigrationEngine::handle_begin(NodeId /*from*/,
       !server->is_retired(req.id())) {
     co_return Failure{FailureKind::kExhausted, "already hosting fragment"};
   }
-  auto staging = std::make_unique<Staging>();
-  staging->source = req.source();
-  staging->incarnation = req.incarnation();
+  auto staging = std::make_unique<Staging>(req.id());
+  staging->state.set_log_cap(server->options().membership_log_cap);
+  staging->state.set_incarnation(req.incarnation());
   staging_.insert_or_assign(req.id(), std::move(staging));
   metrics_.add(kMetrics.stagings_opened);
   co_return Payload{true};
@@ -356,43 +347,32 @@ Task<Result<Payload>> MigrationEngine::handle_chunk(NodeId /*from*/,
   staging.arriving.insert(staging.arriving.end(), req.members().begin(),
                           req.members().end());
   if (req.final_chunk()) {
-    // Seal: materialise the snapshot and adopt its cursors; from here the
-    // staging behaves like a replica applying the source's op stream.
-    staging.members.assign(std::move(staging.arriving));
+    // Seal: install the snapshot at its cursors; from here the staging is a
+    // replica applying the source's op stream.
+    staging.state.install(std::move(staging.arriving), req.version(),
+                          req.last_seq());
+    staging.state.set_incarnation(req.incarnation());
     staging.arriving.clear();
-    staging.version = req.version();
-    staging.applied_seq = req.last_seq();
-    staging.incarnation = req.incarnation();
     staging.sealed = true;
   }
-  co_return Payload{msg::MigChunkReply{staging.members.size() +
+  co_return Payload{msg::MigChunkReply{staging.state.size() +
                                         staging.arriving.size()}};
 }
 
 Task<Result<Payload>> MigrationEngine::handle_ops(NodeId /*from*/,
                                                    Payload request) {
-  const auto req = payload_cast<smsg::SyncRequest>(std::move(request));
-  StoreServer* server = repo_.server_at(node_);
-  if (server == nullptr || !server->serving()) {
-    co_return Failure{FailureKind::kUnreachable, "node recovering"};
-  }
-  co_await repo_.sim().delay(server->options().membership_latency);
-  const auto it = staging_.find(req.id());
-  if (it == staging_.end() || !it->second->sealed) {
-    co_return Failure{FailureKind::kNotFound, "no sealed staging"};
-  }
-  Staging& staging = *it->second;
-  if (req.incarnation() != staging.incarnation) {
-    co_return Failure{FailureKind::kExhausted, "staging incarnation mismatch"};
-  }
-  for (const CollectionOp& op : req.ops()) staging_apply(staging, op);
-  co_return Payload{smsg::SyncReply{staging.applied_seq, staging.incarnation}};
+  return stage_ops(payload_cast<smsg::SyncRequest>(std::move(request)),
+                   /*forward=*/false);
 }
 
 Task<Result<Payload>> MigrationEngine::handle_apply(NodeId /*from*/,
                                                      Payload request) {
-  const auto req =
-      payload_cast<smsg::HandoffApplyRequest>(std::move(request));
+  return stage_ops(payload_cast<smsg::SyncRequest>(std::move(request)),
+                   /*forward=*/true);
+}
+
+Task<Result<Payload>> MigrationEngine::stage_ops(smsg::SyncRequest req,
+                                                 bool forward) {
   StoreServer* server = repo_.server_at(node_);
   if (server == nullptr || !server->serving()) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
@@ -401,13 +381,14 @@ Task<Result<Payload>> MigrationEngine::handle_apply(NodeId /*from*/,
   const auto it = staging_.find(req.id());
   if (it != staging_.end() && it->second->sealed) {
     Staging& staging = *it->second;
-    if (req.incarnation() != staging.incarnation) {
+    if (req.incarnation() != staging.state.incarnation()) {
       co_return Failure{FailureKind::kExhausted,
                         "staging incarnation mismatch"};
     }
-    staging_apply(staging, req.op());
-    co_return Payload{smsg::HandoffApplyReply{staging.applied_seq}};
+    for (const CollectionOp& op : req.ops()) staging_apply(staging, op);
+    co_return Payload{smsg::HandoffApplyReply{staging.state.applied_seq()}};
   }
+  if (!forward) co_return Failure{FailureKind::kNotFound, "no sealed staging"};
   // Post-promote window: the staging was consumed by mig.finish but the
   // source has not retired yet — apply straight to the adopted primary
   // (fires its WAL observer, never the ground-truth mutation sink; the
@@ -415,9 +396,10 @@ Task<Result<Payload>> MigrationEngine::handle_apply(NodeId /*from*/,
   server = repo_.server_at(node_);
   CollectionState* state =
       server != nullptr ? server->collection(req.id()) : nullptr;
+  const CollectionOp& op = req.ops().front();
   if (state != nullptr && server->hosts_primary(req.id()) &&
-      req.op().seq() <= state->applied_seq() + 1) {
-    state->apply(req.op());
+      op.seq() <= state->applied_seq() + 1) {
+    state->apply(op);
     co_return Payload{smsg::HandoffApplyReply{state->applied_seq()}};
   }
   co_return Failure{FailureKind::kNotFound, "no handoff destination"};
@@ -435,30 +417,21 @@ Task<Result<Payload>> MigrationEngine::handle_finish(NodeId /*from*/,
   if (it == staging_.end() || !it->second->sealed) {
     co_return Payload{msg::MigFinishReply{false, 0}};
   }
-  Staging& staging = *it->second;
-  if (staging.applied_seq < req.expected_last_seq() ||
-      !staging.pending.empty()) {
+  const CollectionState& staged = it->second->state;
+  if (staged.applied_seq() < req.expected_last_seq() ||
+      !it->second->pending.empty()) {
     // Below the cut line, or a buffered out-of-order forward is waiting on
     // the op that fills its gap: promoting now would drop an op whose
     // forward was already acknowledged. The source aborts and may retry.
-    co_return Payload{msg::MigFinishReply{false, staging.applied_seq}};
-  }
-  // Promote: install as a hosted primary continuing the same op stream.
-  wal::CollectionImage image;
-  image.collection = req.id().raw();
-  image.incarnation = staging.incarnation;
-  image.version = staging.version;
-  image.last_seq = staging.applied_seq;
-  image.applied_seq = staging.applied_seq;
-  image.members.reserve(staging.members.size());
-  for (const ObjectRef ref : staging.members.members()) {
-    image.members.emplace_back(ref.id().raw(), ref.home().raw());
+    co_return Payload{msg::MigFinishReply{false, staged.applied_seq()}};
   }
   server = repo_.server_at(node_);
   if (server == nullptr || !server->serving()) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
-  server->adopt_primary(req.id(), image);
+  // Promote: install as a hosted primary continuing the same op stream.
+  const std::uint64_t applied_seq =
+      server->adopt_primary(req.id(), staged).applied_seq();
   // Erase before the checkpoint await: forwards arriving in that window
   // fall through to the adopted primary above.
   staging_.erase(req.id());
@@ -466,7 +439,7 @@ Task<Result<Payload>> MigrationEngine::handle_finish(NodeId /*from*/,
   if (!durable) {
     co_return Failure{FailureKind::kNodeCrashed, "crashed persisting adoption"};
   }
-  co_return Payload{msg::MigFinishReply{true, image.applied_seq}};
+  co_return Payload{msg::MigFinishReply{true, applied_seq}};
 }
 
 Task<Result<Payload>> MigrationEngine::handle_abort(NodeId /*from*/,

@@ -13,18 +13,18 @@
 //      member snapshot (checkpoint codec image) in slices while S keeps
 //      serving reads AND writes; the final chunk seals the staging with the
 //      snapshot cursors.
-//   3. (S→T) mig.ops ships the ops that landed since the snapshot
-//      (msg::SyncRequest, the anti-entropy payload) until the staging is
+//   3. (S→T) mig.ops ships the ops that landed since the snapshot (a
+//      msg::SyncRequest batch sliced from S's op log) until the staging is
 //      within handoff_backlog ops of S's live tail.
 //   4. (S) dual-home handoff: in one atomic transition S opens
 //      set_handoff(F, T) and records the cut line (its live tail at that
 //      instant) — every op committed past the line is forwarded to T
-//      (mig.apply) before it is acked, so T never falls behind again,
-//      while the bounded backlog below the line keeps shipping via
-//      mig.ops. Without the early cut-over a pure catch-up loop never
-//      converges under sustained write churn: each round costs a network
-//      round-trip during which new ops land. The ground-truth mutation
-//      sink fires exactly once, on S.
+//      (mig.apply, a one-op msg::SyncRequest) before it is acked, so T
+//      never falls behind again, while the bounded backlog below the line
+//      keeps shipping via mig.ops. Without the early cut-over a pure
+//      catch-up loop never converges under sustained write churn: each
+//      round costs a network round-trip during which new ops land. The
+//      ground-truth mutation sink fires exactly once, on S.
 //   5. (S→T) mig.finish: T promotes the staged fragment to a hosted primary
 //      (adopt_primary — same op stream, same incarnation) and persists it
 //      with an immediate checkpoint before replying promoted=true.
@@ -49,6 +49,7 @@
 #include "net/rpc.hpp"
 #include "obs/metrics.hpp"
 #include "placement/messages.hpp"
+#include "store/messages.hpp"
 #include "store/repository.hpp"
 
 namespace weakset::placement {
@@ -87,16 +88,16 @@ class MigrationEngine {
 
  private:
   /// Target-side staging area: the snapshot slices accumulate, the final
-  /// chunk seals in the cursors, then catch-up / forwarded ops apply on top
-  /// exactly like a replica applies a primary's stream.
+  /// chunk installs them with the snapshot cursors into a replica of the
+  /// source's fragment, and catch-up / forwarded ops then apply on top
+  /// exactly like a replica applies its primary's stream.
   struct Staging {
-    NodeId source = NodeId::invalid();
-    std::uint64_t incarnation = 0;
+    explicit Staging(CollectionId id) : state(id) {}
     std::vector<ObjectRef> arriving;  ///< chunk slices, pre-seal
     bool sealed = false;
-    MemberList members;  ///< materialised at seal
-    std::uint64_t version = 0;
-    std::uint64_t applied_seq = 0;  ///< source-stream cursor (= last_seq)
+    /// The staged copy; its incarnation names the source's stream from
+    /// mig.begin on.
+    CollectionState state;
     /// Out-of-order arrivals (a dual-home forward can overtake a catch-up
     /// batch in flight); drained as soon as the stream is contiguous again.
     std::map<std::uint64_t, CollectionOp> pending;
@@ -119,6 +120,11 @@ class MigrationEngine {
   Task<Result<Payload>> handle_chunk(NodeId from, Payload request);
   Task<Result<Payload>> handle_ops(NodeId from, Payload request);
   Task<Result<Payload>> handle_apply(NodeId from, Payload request);
+  /// mig.ops and mig.apply: applies the ops to the sealed staging of their
+  /// fragment. A forward (mig.apply) that finds the staging already
+  /// promoted applies to the adopted primary instead.
+  Task<Result<Payload>> stage_ops(weakset::msg::SyncRequest req,
+                                  bool forward);
   Task<Result<Payload>> handle_finish(NodeId from, Payload request);
   Task<Result<Payload>> handle_abort(NodeId from, Payload request);
 

@@ -57,7 +57,7 @@ std::optional<NodeId> RepositoryClient::pick_read_host(
   return best;
 }
 
-Task<Result<msg::SnapshotReply>> RepositoryClient::read_fragment(
+Task<Result<msg::DeltaReply>> RepositoryClient::read_fragment(
     CollectionId id, std::size_t fragment) {
   for (int attempt = 0;; ++attempt) {
     const FragmentMeta& frag = resolve(id).fragments().at(fragment);
@@ -69,8 +69,8 @@ Task<Result<msg::SnapshotReply>> RepositoryClient::read_fragment(
       co_return Failure{FailureKind::kPartitioned,
                         "no reachable host for fragment"};
     }
-    auto reply = co_await call<msg::SnapshotReply>(*host, methods_.snapshot,
-                                                   msg::SnapshotRequest{id});
+    auto reply = co_await call<msg::DeltaReply>(*host, methods_.snapshot,
+                                                msg::SnapshotRequest{id});
     if (reply) co_return std::move(reply).value();
     Failure failure = std::move(reply).error();
     if (failure.kind == FailureKind::kWrongEpoch && attempt == 0 &&
@@ -109,33 +109,30 @@ namespace {
 Task<void> snapshot_into(
     RpcNetwork& net, NodeId from, NodeId host, MethodId method,
     CollectionId id, std::optional<Duration> timeout,
-    std::shared_ptr<AsyncQueue<Result<msg::SnapshotReply>>> arrivals) {
-  Result<msg::SnapshotReply> reply =
-      co_await net.call_typed<msg::SnapshotReply>(
-          from, host, method, msg::SnapshotRequest{id}, timeout);
+    std::shared_ptr<AsyncQueue<Result<msg::DeltaReply>>> arrivals) {
+  Result<msg::DeltaReply> reply = co_await net.call_typed<msg::DeltaReply>(
+      from, host, method, msg::SnapshotRequest{id}, timeout);
   arrivals->push(std::move(reply));
 }
 
 /// Quorum fragment read: scatter to `hosts`, gather the first `needed`
 /// successful replies, return the freshest (highest version).
-Task<Result<msg::SnapshotReply>> quorum_snapshot(
+Task<Result<msg::DeltaReply>> quorum_snapshot(
     RpcNetwork& net, NodeId from, std::vector<NodeId> hosts, MethodId method,
     CollectionId id, std::size_t needed, std::optional<Duration> timeout) {
   // Scatter to every host; gather replies in ARRIVAL order so a small
   // quorum completes as soon as the nearest hosts answer. The gather must
   // outlive this frame if abandoned, so the arrival queue is heap-shared.
   Simulator& sim = net.sim();
-  auto arrivals =
-      std::make_shared<AsyncQueue<Result<msg::SnapshotReply>>>(sim);
+  auto arrivals = std::make_shared<AsyncQueue<Result<msg::DeltaReply>>>(sim);
   for (const NodeId host : hosts) {
     sim.spawn(snapshot_into(net, from, host, method, id, timeout, arrivals));
   }
 
-  std::optional<msg::SnapshotReply> freshest;
+  std::optional<msg::DeltaReply> freshest;
   std::size_t successes = 0;
   for (std::size_t answered = 0; answered < hosts.size(); ++answered) {
-    std::optional<Result<msg::SnapshotReply>> reply =
-        co_await arrivals->pop();
+    std::optional<Result<msg::DeltaReply>> reply = co_await arrivals->pop();
     if (!reply) break;  // cannot happen: queue is never closed
     if (!reply->has_value()) continue;
     ++successes;
@@ -152,40 +149,21 @@ Task<Result<msg::SnapshotReply>> quorum_snapshot(
   co_return std::move(*freshest);
 }
 
-/// One (fragment index, normalised reply) arrival of the read_all
-/// scatter-gather. Every reply form — plain snapshot, quorum-selected
-/// snapshot, delta — normalises to a DeltaReply; snapshot-path replies
-/// carry seq 0, which is fine because only delta-path replies reach the
-/// cache.
+/// One (fragment index, reply) arrival of the read_all scatter-gather. Every
+/// read path — plain snapshot, quorum-selected snapshot, delta — answers a
+/// DeltaReply.
 using FragmentArrival = std::pair<std::size_t, Result<msg::DeltaReply>>;
 using FragmentQueue = std::shared_ptr<AsyncQueue<FragmentArrival>>;
 
-Task<void> snapshot_fragment_into(RpcNetwork& net, NodeId from, NodeId host,
-                                  MethodId method, CollectionId id,
-                                  std::optional<Duration> timeout,
-                                  std::size_t index, FragmentQueue arrivals) {
-  Result<msg::SnapshotReply> reply =
-      co_await net.call_typed<msg::SnapshotReply>(
-          from, host, method, msg::SnapshotRequest{id}, timeout);
-  if (!reply.has_value()) {
-    arrivals->push(FragmentArrival{index, std::move(reply).error()});
-    co_return;
-  }
-  const std::uint64_t version = reply.value().version();
-  arrivals->push(FragmentArrival{
-      index, msg::DeltaReply::full_snapshot(
-                 std::move(reply).value().take_members(), version, 0)});
-}
-
-Task<void> delta_fragment_into(RpcNetwork& net, NodeId from, NodeId host,
-                               MethodId method, CollectionId id,
-                               std::uint64_t since_seq,
-                               std::uint64_t since_incarnation,
-                               std::optional<Duration> timeout,
-                               std::size_t index, FragmentQueue arrivals) {
+/// Reads one fragment from `host` with `request` (a coll.snapshot or a
+/// coll.read_delta) and posts the reply as arrival `index`.
+template <typename Request>
+Task<void> fragment_into(RpcNetwork& net, NodeId from, NodeId host,
+                         MethodId method, Request request,
+                         std::optional<Duration> timeout, std::size_t index,
+                         FragmentQueue arrivals) {
   Result<msg::DeltaReply> reply = co_await net.call_typed<msg::DeltaReply>(
-      from, host, method,
-      msg::DeltaRequest{id, since_seq, since_incarnation}, timeout);
+      from, host, method, std::move(request), timeout);
   arrivals->push(FragmentArrival{index, std::move(reply)});
 }
 
@@ -194,16 +172,9 @@ Task<void> quorum_fragment_into(RpcNetwork& net, NodeId from,
                                 CollectionId id, std::size_t needed,
                                 std::optional<Duration> timeout,
                                 std::size_t index, FragmentQueue arrivals) {
-  Result<msg::SnapshotReply> reply = co_await quorum_snapshot(
+  Result<msg::DeltaReply> reply = co_await quorum_snapshot(
       net, from, std::move(hosts), method, id, needed, timeout);
-  if (!reply.has_value()) {
-    arrivals->push(FragmentArrival{index, std::move(reply).error()});
-    co_return;
-  }
-  const std::uint64_t version = reply.value().version();
-  arrivals->push(FragmentArrival{
-      index, msg::DeltaReply::full_snapshot(
-                 std::move(reply).value().take_members(), version, 0)});
+  arrivals->push(FragmentArrival{index, std::move(reply)});
 }
 
 std::vector<NodeId> fragment_hosts(const FragmentMeta& fragment) {
@@ -215,7 +186,7 @@ std::vector<NodeId> fragment_hosts(const FragmentMeta& fragment) {
 }
 }  // namespace
 
-Task<Result<msg::SnapshotReply>> RepositoryClient::read_fragment_quorum(
+Task<Result<msg::DeltaReply>> RepositoryClient::read_fragment_quorum(
     CollectionId id, const FragmentMeta& fragment) {
   const std::size_t count = 1 + fragment.replicas().size();
   co_return co_await quorum_snapshot(repo_.net(), node_,
@@ -253,7 +224,6 @@ const std::vector<ObjectRef>& RepositoryClient::absorb_delta(
       }
     }
     entry.seq = std::max(entry.seq, reply.seq());
-    entry.version = std::max(entry.version, reply.version());
     VectorPool<CollectionOp>::release(std::move(reply).take_ops());
   } else {
     ++read_stats_.fragment_reads_full;
@@ -264,11 +234,10 @@ const std::vector<ObjectRef>& RepositoryClient::absorb_delta(
     metrics_.add(kMetrics.delta_cache_misses);
     metrics_.add(kMetrics.fragment_reads_full);
     metrics_.add(kMetrics.members_shipped, reply.members().size());
-    // A snapshot install is wholesale: members, version and cursor are one
+    // A snapshot install is wholesale: members and cursor are one
     // consistent host state, even if an overlapping absorb left the entry
     // ahead of it (the next delta read simply catches up from here).
     entry.seq = reply.seq();
-    entry.version = reply.version();
     entry.incarnation = reply.incarnation();
     entry.members.assign(std::move(reply).take_members());
   }
@@ -332,14 +301,13 @@ Task<Result<std::vector<ObjectRef>>> RepositoryClient::read_all_attempt(
           it == delta_cache_.end() ? 0 : it->second.seq;
       const std::uint64_t since_incarnation =
           it == delta_cache_.end() ? 0 : it->second.incarnation;
-      sim.spawn(delta_fragment_into(repo_.net(), node_, *host,
-                                    methods_.read_delta, id, since,
-                                    since_incarnation, options_.rpc_timeout,
-                                    f, arrivals));
+      sim.spawn(fragment_into(repo_.net(), node_, *host, methods_.read_delta,
+                              msg::DeltaRequest{id, since, since_incarnation},
+                              options_.rpc_timeout, f, arrivals));
     } else {
-      sim.spawn(snapshot_fragment_into(repo_.net(), node_, *host,
-                                       methods_.snapshot, id,
-                                       options_.rpc_timeout, f, arrivals));
+      sim.spawn(fragment_into(repo_.net(), node_, *host, methods_.snapshot,
+                              msg::SnapshotRequest{id}, options_.rpc_timeout,
+                              f, arrivals));
     }
     ++spawned;
   }
@@ -403,7 +371,7 @@ Task<Result<std::vector<ObjectRef>>> RepositoryClient::snapshot_atomic(
   std::vector<ObjectRef> members;
   Result<std::vector<ObjectRef>> outcome = members;
   for (const FragmentMeta& frag : meta.fragments()) {
-    auto reply = co_await call<msg::SnapshotReply>(
+    auto reply = co_await call<msg::DeltaReply>(
         frag.primary(), methods_.snapshot, msg::SnapshotRequest{id});
     if (!reply) {
       outcome = std::move(reply).error();

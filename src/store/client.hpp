@@ -92,9 +92,9 @@ class RepositoryClient {
 
   // -- membership reads ------------------------------------------------------
 
-  /// Reads one fragment's membership, honouring the read policy.
-  Task<Result<msg::SnapshotReply>> read_fragment(CollectionId id,
-                                                 std::size_t fragment);
+  /// Reads one fragment's full membership, honouring the read policy.
+  Task<Result<msg::DeltaReply>> read_fragment(CollectionId id,
+                                              std::size_t fragment);
 
   /// Reads every fragment concurrently and gathers (NOT atomic: mutations
   /// may interleave across fragments) — whole-set latency is the max of the
@@ -170,7 +170,7 @@ class RepositoryClient {
 
  private:
   /// Client-side materialisation of one fragment's membership as last
-  /// answered by one specific host, plus that host's op cursor and version.
+  /// answered by one specific host, plus that host's op cursor.
   /// Keyed per host: each host's op sequence is monotone, so a cached cursor
   /// can never run ahead of the host it came from — switching hosts (e.g.
   /// kNearest failing over to a replica) simply starts a fresh entry with a
@@ -179,7 +179,6 @@ class RepositoryClient {
   struct FragmentCacheEntry {
     MemberList members;
     std::uint64_t seq = 0;
-    std::uint64_t version = 0;
     /// Incarnation of the op stream `seq` belongs to; presented with the
     /// cursor so a host that recovered from amnesia (new stream) resyncs us
     /// with a snapshot instead of serving unrelated sequence numbers.
@@ -219,7 +218,7 @@ class RepositoryClient {
 
   /// Quorum fragment read: scatter to primary+replicas, gather the first
   /// `quorum` successful replies, return the freshest (highest version).
-  Task<Result<msg::SnapshotReply>> read_fragment_quorum(
+  Task<Result<msg::DeltaReply>> read_fragment_quorum(
       CollectionId id, const FragmentMeta& fragment);
 
   template <typename Resp, typename Req>

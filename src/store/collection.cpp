@@ -58,54 +58,24 @@ void CollectionState::member_assign(std::vector<ObjectRef> members) {
 
 void CollectionState::record(CollectionOp::Kind kind, ObjectRef ref,
                              std::uint64_t seq) {
-  assert(seq == last_seq_ + 1 && "log sequences must stay contiguous");
-  log_.emplace_back(kind, ref, seq);
-  last_seq_ = seq;
-  if (log_cap_ != 0) {
-    while (log_.size() > log_cap_) log_.pop_front();
-  }
-  if (op_observer_) op_observer_(log_.back());
+  assert(seq == last_seq() + 1 && "log sequences must stay contiguous");
+  const CollectionOp op{kind, ref, seq};
+  log_.append(op);
+  if (op_observer_) op_observer_(op);
 }
 
 bool CollectionState::add(ObjectRef ref) {
   if (!member_insert(ref)) return false;
   ++version_;
-  record(CollectionOp::Kind::kAdd, ref, last_seq_ + 1);
+  record(CollectionOp::Kind::kAdd, ref, last_seq() + 1);
   return true;
 }
 
 bool CollectionState::remove(ObjectRef ref) {
   if (!member_erase(ref)) return false;
   ++version_;
-  record(CollectionOp::Kind::kRemove, ref, last_seq_ + 1);
+  record(CollectionOp::Kind::kRemove, ref, last_seq() + 1);
   return true;
-}
-
-void CollectionState::set_log_cap(std::size_t cap) {
-  log_cap_ = cap;
-  if (log_cap_ != 0) {
-    while (log_.size() > log_cap_) log_.pop_front();
-  }
-}
-
-std::vector<CollectionOp> CollectionState::ops_since(
-    std::uint64_t after_seq) const {
-  std::vector<CollectionOp> out;
-  ops_since(after_seq, out);
-  return out;
-}
-
-void CollectionState::ops_since(std::uint64_t after_seq,
-                                std::vector<CollectionOp>& out) const {
-  out.clear();
-  if (after_seq >= last_seq_) return;
-  assert(can_serve_ops_since(after_seq) &&
-         "caller must snapshot-resync past a truncated log");
-  // The retained window is contiguous, so the slice starts at the offset of
-  // seq after_seq+1 from the log floor.
-  const std::size_t skip =
-      static_cast<std::size_t>(after_seq + 1 - log_floor_seq());
-  out.assign(log_.begin() + static_cast<std::ptrdiff_t>(skip), log_.end());
 }
 
 void CollectionState::apply(const CollectionOp& op) {
@@ -125,11 +95,10 @@ void CollectionState::install(std::vector<ObjectRef> members,
                               std::uint64_t version, std::uint64_t seq) {
   member_assign(std::move(members));
   version_ = version;
-  last_seq_ = seq;
   applied_seq_ = seq;
   // The ops behind the snapshot are unknown; an empty log at floor seq+1
   // forces delta readers of this replica to take one full read and resync.
-  log_.clear();
+  log_.reset(seq);
 }
 
 void CollectionState::wipe_volatile() {
@@ -137,8 +106,7 @@ void CollectionState::wipe_volatile() {
   // server drives separately; the in-memory list is cleared either way.
   if (backing_ == nullptr) list_.assign({});
   scratch_stale_ = true;
-  log_.clear();
-  last_seq_ = 0;
+  log_.reset(0);
   version_ = 0;
   applied_seq_ = 0;
   incarnation_ = 1;
@@ -157,17 +125,16 @@ void CollectionState::restore_counters(std::uint64_t version,
                                        std::uint64_t applied_seq,
                                        std::uint64_t incarnation) {
   version_ = version;
-  last_seq_ = last_seq;
   applied_seq_ = applied_seq;
   incarnation_ = incarnation;
-  log_.clear();
+  log_.reset(last_seq);
   // The backing's contents changed out from under us (block recovery
   // reattached the durable image); drop the memoized materialization.
   scratch_stale_ = true;
 }
 
 void CollectionState::replay(const CollectionOp& op) {
-  assert(op.seq() == last_seq_ + 1 && "WAL replay must stay contiguous");
+  assert(op.seq() == last_seq() + 1 && "WAL replay must stay contiguous");
   const bool effective = op.kind() == CollectionOp::Kind::kAdd
                              ? member_insert(op.ref())
                              : member_erase(op.ref());

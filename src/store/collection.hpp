@@ -17,6 +17,8 @@
 // (set_log_cap), and a reader whose cursor has fallen off the retained
 // window is resynced with a full snapshot.
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -47,6 +49,75 @@ class CollectionOp {
   Kind kind_ = Kind::kAdd;
   ObjectRef ref_;
   std::uint64_t seq_ = 0;
+};
+
+/// A bounded window over one op stream (DESIGN.md decision 9). Ops are
+/// numbered contiguously from 1 as they are appended, and the window keeps
+/// the most recent `cap` of them (0 = all). A follower whose cursor the
+/// window covers catches up with since(); one it no longer covers needs the
+/// stream's full state instead. Backs a fragment's CollectionOp log and an
+/// OR-Set host's outbound dot-op log alike.
+template <typename Op>
+class OpLog {
+ public:
+  /// Bounds the window to the most recent `cap` ops (0 = unbounded),
+  /// trimming at once if it already holds more.
+  void set_cap(std::size_t cap) {
+    cap_ = cap;
+    trim();
+  }
+
+  /// Appends the op numbered last_seq() + 1.
+  void append(const Op& op) {
+    ops_.push_back(op);
+    ++last_seq_;
+    trim();
+  }
+
+  /// Number of the newest op ever appended (0 if none); survives trimming.
+  [[nodiscard]] std::uint64_t last_seq() const noexcept { return last_seq_; }
+
+  /// Number of the oldest op retained (last_seq() + 1 when empty).
+  [[nodiscard]] std::uint64_t floor_seq() const noexcept {
+    return last_seq_ - ops_.size() + 1;
+  }
+
+  /// True if since(after_seq) yields exactly the ops numbered past
+  /// `after_seq`: all of them are retained, and the cursor is not past the
+  /// end of the stream.
+  [[nodiscard]] bool covers(std::uint64_t after_seq) const noexcept {
+    return after_seq + 1 >= floor_seq() && after_seq <= last_seq_;
+  }
+
+  /// Replaces `out` with the ops numbered past `after_seq`, reusing its
+  /// capacity (hot read paths pair this with VectorPool). Requires
+  /// covers(after_seq).
+  void since(std::uint64_t after_seq, std::vector<Op>& out) const {
+    assert(covers(after_seq) && "a cursor off the window needs full state");
+    const auto skip = static_cast<std::ptrdiff_t>(after_seq + 1 - floor_seq());
+    out.assign(ops_.begin() + skip, ops_.end());
+  }
+  [[nodiscard]] std::vector<Op> since(std::uint64_t after_seq) const {
+    std::vector<Op> out;
+    since(after_seq, out);
+    return out;
+  }
+
+  /// Empties the window and numbers the next op `seq` + 1 (a snapshot
+  /// install or a recovery: the ops up to `seq` are not known here).
+  void reset(std::uint64_t seq) {
+    ops_.clear();
+    last_seq_ = seq;
+  }
+
+ private:
+  void trim() {
+    while (cap_ != 0 && ops_.size() > cap_) ops_.pop_front();
+  }
+
+  std::deque<Op> ops_;
+  std::size_t cap_ = 0;
+  std::uint64_t last_seq_ = 0;
 };
 
 /// An ordered, duplicate-free membership list: push-back insertion,
@@ -146,35 +217,18 @@ class CollectionState {
 
   /// Highest op sequence number ever logged here (0 if none). Survives log
   /// truncation.
-  [[nodiscard]] std::uint64_t last_seq() const noexcept { return last_seq_; }
-
-  /// Bounds the op log to the most recent `cap` ops (0 = unbounded). The
-  /// log is the retained history window for delta reads and anti-entropy;
-  /// readers further behind than the window get a full snapshot instead.
-  void set_log_cap(std::size_t cap);
-
-  /// Lowest op sequence still retained (last_seq() + 1 when the log is
-  /// empty).
-  [[nodiscard]] std::uint64_t log_floor_seq() const noexcept {
-    return last_seq_ - log_.size() + 1;
+  [[nodiscard]] std::uint64_t last_seq() const noexcept {
+    return log_.last_seq();
   }
 
-  /// True if every op with seq > `after_seq` is still in the log — i.e. an
-  /// incremental catch-up from `after_seq` is possible without a snapshot.
-  [[nodiscard]] bool can_serve_ops_since(
-      std::uint64_t after_seq) const noexcept {
-    return after_seq + 1 >= log_floor_seq();
+  /// The retained history window for delta reads, anti-entropy and
+  /// migration catch-up; followers further behind get a full snapshot.
+  [[nodiscard]] const OpLog<CollectionOp>& log() const noexcept {
+    return log_;
   }
 
-  /// Ops with seq > `after_seq`, for anti-entropy transfer and delta reads.
-  /// Requires can_serve_ops_since(after_seq).
-  [[nodiscard]] std::vector<CollectionOp> ops_since(
-      std::uint64_t after_seq) const;
-
-  /// Into-buffer variant: replaces `out` with the slice, reusing its
-  /// capacity. Hot read paths pair this with VectorPool so a steady-state
-  /// delta read allocates nothing.
-  void ops_since(std::uint64_t after_seq, std::vector<CollectionOp>& out) const;
+  /// Bounds the op log to the most recent `cap` ops (0 = unbounded).
+  void set_log_cap(std::size_t cap) { log_.set_cap(cap); }
 
   /// Replica side: applies a primary op. Ops at or below the already-applied
   /// sequence are ignored (idempotent); ops must otherwise arrive in order.
@@ -257,9 +311,7 @@ class CollectionState {
   MemberBacking* backing_ = nullptr;
   mutable std::vector<ObjectRef> scratch_;  // members() buffer when backed
   mutable bool scratch_stale_ = true;       // re-materialize scratch_?
-  std::deque<CollectionOp> log_;  // most recent ops, contiguous seqs
-  std::size_t log_cap_ = 0;       // 0 = unbounded
-  std::uint64_t last_seq_ = 0;
+  OpLog<CollectionOp> log_;
   std::uint64_t version_ = 0;
   std::uint64_t applied_seq_ = 0;
   std::uint64_t incarnation_ = 1;

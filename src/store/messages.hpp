@@ -10,9 +10,11 @@
 #include <utility>
 #include <vector>
 
+#include "crdt/orset.hpp"
 #include "store/collection.hpp"
 #include "store/object.hpp"
 #include "util/result.hpp"
+#include "wal/wal.hpp"
 
 namespace weakset::msg {
 
@@ -75,7 +77,8 @@ class PutRequest {
   std::string data_;
 };
 
-/// coll.snapshot: read one fragment's full membership.
+/// coll.snapshot: read one fragment's full membership. Reply: DeltaReply,
+/// always a full snapshot.
 class SnapshotRequest {
  public:
   explicit SnapshotRequest(CollectionId id) : id_(id) {}
@@ -85,30 +88,12 @@ class SnapshotRequest {
   CollectionId id_;
 };
 
-/// Reply to coll.snapshot.
-class SnapshotReply {
- public:
-  SnapshotReply(std::vector<ObjectRef> members, std::uint64_t version)
-      : members_(std::move(members)), version_(version) {}
-  [[nodiscard]] const std::vector<ObjectRef>& members() const noexcept {
-    return members_;
-  }
-  [[nodiscard]] std::vector<ObjectRef>&& take_members() && {
-    return std::move(members_);
-  }
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
-
- private:
-  std::vector<ObjectRef> members_;
-  std::uint64_t version_;
-};
-
-/// coll.read_delta: incremental membership read. The client presents the op
-/// sequence cursor of its cached materialisation of this fragment (0 = no
-/// cache); the server answers with just the ops since that cursor when its
-/// retained log window still covers it, and with a full snapshot otherwise
-/// (first contact, truncated log, or a delta that would outweigh the
-/// snapshot). See DESIGN.md decision 9.
+/// A follower's cursor into one fragment's op stream, presented to get the
+/// ops past it: coll.read_delta (a client's cached materialisation, 0 = no
+/// cache), coll.pull (a replica's applied cursor) and orset.pull (this
+/// host's cursor into a peer's outbound dot-op log). The server answers
+/// with just the ops past the cursor when its retained log window still
+/// covers it, and with the full state otherwise. See DESIGN.md decision 9.
 class DeltaRequest {
  public:
   DeltaRequest(CollectionId id, std::uint64_t since_seq,
@@ -132,9 +117,10 @@ class DeltaRequest {
   std::uint64_t since_incarnation_;
 };
 
-/// Reply to coll.read_delta: either the ops since the presented cursor or a
-/// full membership snapshot, plus the server's current version and op
-/// cursor. The client advances its cache to (version, seq) either way.
+/// Reply to coll.snapshot, coll.read_delta and coll.pull: either the ops
+/// since the presented cursor or a full membership snapshot, plus the
+/// server's version and op cursor at the instant the reply was sliced. The
+/// follower advances to (version, seq) either way.
 class DeltaReply {
  public:
   static DeltaReply delta(std::vector<CollectionOp> ops, std::uint64_t version,
@@ -223,16 +209,6 @@ class MembershipReply {
   std::uint64_t version_;
 };
 
-/// coll.size: fragment membership count. Reply: std::uint64_t.
-class SizeRequest {
- public:
-  explicit SizeRequest(CollectionId id) : id_(id) {}
-  [[nodiscard]] CollectionId id() const noexcept { return id_; }
-
- private:
-  CollectionId id_;
-};
-
 /// coll.freeze / coll.unfreeze: the distributed-locking substrate for the
 /// strong (immutable / snapshot) semantics. A freeze blocks mutators until
 /// released or until the lease expires (crash safety).
@@ -268,24 +244,25 @@ class PinRequest {
   bool pin_;
 };
 
-/// mig.ops: a live migration's catch-up step (src/placement) — the source
-/// ships the contiguous ops since its cursor to the target's staging copy.
-/// Reply: SyncReply (the source uses applied_seq as the ack cursor).
+/// mig.ops and mig.apply: ops of a live migration's source stream for the
+/// target's staging copy (src/placement, DESIGN.md decision 12). mig.ops
+/// carries the contiguous catch-up batch since the source's cursor;
+/// mig.apply carries the one op a dual-home forward commits, which the
+/// target applies *without* announcing to the mutation sink — the source
+/// already did, and ground truth must see each op exactly once. Reply:
+/// HandoffApplyReply.
 class SyncRequest {
  public:
   SyncRequest(CollectionId id, std::vector<CollectionOp> ops,
-              std::uint64_t incarnation = 0)
+              std::uint64_t incarnation)
       : id_(id), ops_(std::move(ops)), incarnation_(incarnation) {}
   [[nodiscard]] CollectionId id() const noexcept { return id_; }
   [[nodiscard]] const std::vector<CollectionOp>& ops() const noexcept {
     return ops_;
   }
-  /// Drains the op buffer, so a consumer can recycle it (VectorPool).
-  [[nodiscard]] std::vector<CollectionOp>&& take_ops() && {
-    return std::move(ops_);
-  }
   /// Incarnation of the source's op stream. A staging copy on a different
-  /// incarnation refuses the batch (its cursor is from another stream).
+  /// incarnation refuses the ops (its cursor is from another stream, and
+  /// the migration is doomed to abort anyway).
   [[nodiscard]] std::uint64_t incarnation() const noexcept {
     return incarnation_;
   }
@@ -296,218 +273,8 @@ class SyncRequest {
   std::uint64_t incarnation_;
 };
 
-/// Reply to mig.ops: the staging copy's ack cursor plus the incarnation it
-/// is on.
-class SyncReply {
- public:
-  SyncReply(std::uint64_t applied_seq, std::uint64_t incarnation)
-      : applied_seq_(applied_seq), incarnation_(incarnation) {}
-  [[nodiscard]] std::uint64_t applied_seq() const noexcept {
-    return applied_seq_;
-  }
-  [[nodiscard]] std::uint64_t incarnation() const noexcept {
-    return incarnation_;
-  }
-
- private:
-  std::uint64_t applied_seq_;
-  std::uint64_t incarnation_;
-};
-
-/// coll.pull: anti-entropy — replica asks primary for ops after a sequence
-/// number. Reply: PullReply.
-class PullRequest {
- public:
-  PullRequest(CollectionId id, std::uint64_t after_seq,
-              std::uint64_t incarnation = 0)
-      : id_(id), after_seq_(after_seq), incarnation_(incarnation) {}
-  [[nodiscard]] CollectionId id() const noexcept { return id_; }
-  [[nodiscard]] std::uint64_t after_seq() const noexcept { return after_seq_; }
-  /// Incarnation the replica's cursor belongs to; on mismatch the primary
-  /// answers with a snapshot.
-  [[nodiscard]] std::uint64_t incarnation() const noexcept {
-    return incarnation_;
-  }
-
- private:
-  CollectionId id_;
-  std::uint64_t after_seq_;
-  std::uint64_t incarnation_;
-};
-
-/// Reply to coll.pull: the ops after the replica's cursor — or, when the
-/// primary's bounded log no longer reaches back that far, a full snapshot
-/// (members + version + seq) the replica installs wholesale.
-class PullReply {
- public:
-  explicit PullReply(std::vector<CollectionOp> ops,
-                     std::uint64_t incarnation = 0)
-      : is_snapshot_(false),
-        ops_(std::move(ops)),
-        version_(0),
-        seq_(0),
-        incarnation_(incarnation) {}
-  static PullReply snapshot(std::vector<ObjectRef> members,
-                            std::uint64_t version, std::uint64_t seq,
-                            std::uint64_t incarnation = 0) {
-    PullReply reply{{}};
-    reply.is_snapshot_ = true;
-    reply.members_ = std::move(members);
-    reply.version_ = version;
-    reply.seq_ = seq;
-    reply.incarnation_ = incarnation;
-    return reply;
-  }
-
-  [[nodiscard]] bool is_snapshot() const noexcept { return is_snapshot_; }
-  [[nodiscard]] const std::vector<CollectionOp>& ops() const noexcept {
-    return ops_;
-  }
-  /// Drains the op buffer, so a consumer can recycle it (VectorPool).
-  [[nodiscard]] std::vector<CollectionOp>&& take_ops() && {
-    return std::move(ops_);
-  }
-  [[nodiscard]] std::vector<ObjectRef>&& take_members() && {
-    return std::move(members_);
-  }
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
-  [[nodiscard]] std::uint64_t seq() const noexcept { return seq_; }
-  /// Incarnation of the op stream the reply's cursor belongs to; a replica
-  /// installing a snapshot adopts it.
-  [[nodiscard]] std::uint64_t incarnation() const noexcept {
-    return incarnation_;
-  }
-
- private:
-  bool is_snapshot_;
-  std::vector<CollectionOp> ops_;
-  std::vector<ObjectRef> members_;
-  std::uint64_t version_;
-  std::uint64_t seq_;
-  std::uint64_t incarnation_;
-};
-
-/// One OR-Set dot op on the wire (ReplicationMode::kOrSet, DESIGN.md
-/// decision 16): insert or kill of one (element, dot) pair. The wire twin of
-/// crdt::DotOp — messages stay store-layer types so weakset_net need not
-/// know the CRDT library.
-class OrSetWireOp {
- public:
-  static constexpr std::uint8_t kInsert = 0;
-  static constexpr std::uint8_t kKill = 1;
-
-  OrSetWireOp() = default;
-  OrSetWireOp(std::uint8_t kind, ObjectRef element, std::uint64_t origin,
-              std::uint64_t counter)
-      : kind_(kind), element_(element), origin_(origin), counter_(counter) {}
-
-  [[nodiscard]] std::uint8_t kind() const noexcept { return kind_; }
-  [[nodiscard]] ObjectRef element() const noexcept { return element_; }
-  [[nodiscard]] std::uint64_t origin() const noexcept { return origin_; }
-  [[nodiscard]] std::uint64_t counter() const noexcept { return counter_; }
-
- private:
-  std::uint8_t kind_ = kInsert;
-  ObjectRef element_;
-  std::uint64_t origin_ = 0;
-  std::uint64_t counter_ = 0;
-};
-
-/// Reply to orset.pull: either the peer's local dot ops after the presented
-/// cursor, or — when the cursor fell off the peer's bounded log or names a
-/// previous incarnation — a full state (dot context + live dots) the puller
-/// merges via OrSet::join. `end_seq` is the peer's log frontier; the puller
-/// adopts it as its new cursor either way.
-class OrSetPullReply {
- public:
-  static OrSetPullReply delta(std::vector<OrSetWireOp> ops,
-                              std::uint64_t end_seq,
-                              std::uint64_t incarnation) {
-    return OrSetPullReply{false, std::move(ops), {}, {}, end_seq, incarnation};
-  }
-  static OrSetPullReply snapshot(
-      std::vector<OrSetWireOp> live,
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> context_vector,
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> context_cloud,
-      std::uint64_t end_seq, std::uint64_t incarnation) {
-    return OrSetPullReply{true,    std::move(live), std::move(context_vector),
-                          std::move(context_cloud), end_seq, incarnation};
-  }
-
-  [[nodiscard]] bool is_snapshot() const noexcept { return is_snapshot_; }
-  /// Delta: ops after the cursor. Snapshot: every live (element, dot) as an
-  /// insert op.
-  [[nodiscard]] const std::vector<OrSetWireOp>& ops() const noexcept {
-    return ops_;
-  }
-  /// Snapshot only: the peer's dot-context version vector as (origin,
-  /// counter) pairs, and its out-of-order cloud as (origin, counter) dots.
-  [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-  context_vector() const noexcept {
-    return context_vector_;
-  }
-  [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-  context_cloud() const noexcept {
-    return context_cloud_;
-  }
-  [[nodiscard]] std::uint64_t end_seq() const noexcept { return end_seq_; }
-  [[nodiscard]] std::uint64_t incarnation() const noexcept {
-    return incarnation_;
-  }
-  /// Entries shipped on the wire — the cost-model unit.
-  [[nodiscard]] std::size_t entry_count() const noexcept {
-    return ops_.size() + context_vector_.size() + context_cloud_.size();
-  }
-
- private:
-  OrSetPullReply(
-      bool is_snapshot, std::vector<OrSetWireOp> ops,
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> context_vector,
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> context_cloud,
-      std::uint64_t end_seq, std::uint64_t incarnation)
-      : is_snapshot_(is_snapshot),
-        ops_(std::move(ops)),
-        context_vector_(std::move(context_vector)),
-        context_cloud_(std::move(context_cloud)),
-        end_seq_(end_seq),
-        incarnation_(incarnation) {}
-
-  bool is_snapshot_;
-  std::vector<OrSetWireOp> ops_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> context_vector_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> context_cloud_;
-  std::uint64_t end_seq_;
-  std::uint64_t incarnation_;
-};
-
-/// mig.apply: dual-home forwarding during a live fragment migration
-/// (src/placement, DESIGN.md decision 12). While the handoff window is open
-/// the source primary forwards every committed membership op to the migration
-/// target before acking, so the staged copy never misses a mutation. The
-/// target applies into its staging state *without* announcing to the mutation
-/// sink — the source already did, and ground truth must see each op exactly
-/// once. Reply: HandoffApplyReply.
-class HandoffApplyRequest {
- public:
-  HandoffApplyRequest(CollectionId id, CollectionOp op,
-                      std::uint64_t incarnation)
-      : id_(id), op_(op), incarnation_(incarnation) {}
-  [[nodiscard]] CollectionId id() const noexcept { return id_; }
-  [[nodiscard]] const CollectionOp& op() const noexcept { return op_; }
-  /// Incarnation of the source's op stream; a staging copy on a different
-  /// incarnation applies nothing (the migration is doomed to abort anyway).
-  [[nodiscard]] std::uint64_t incarnation() const noexcept {
-    return incarnation_;
-  }
-
- private:
-  CollectionId id_;
-  CollectionOp op_;
-  std::uint64_t incarnation_;
-};
-
-/// Reply to mig.apply: the staging copy's ack cursor, which the migration's
-/// finish step compares against the source's last_seq for completeness.
+/// Reply to mig.ops and mig.apply: the staging copy's ack cursor, which the
+/// source's catch-up loop advances to.
 class HandoffApplyReply {
  public:
   explicit HandoffApplyReply(std::uint64_t applied_seq)
@@ -518,6 +285,61 @@ class HandoffApplyReply {
 
  private:
   std::uint64_t applied_seq_;
+};
+
+/// Reply to orset.pull (ReplicationMode::kOrSet, DESIGN.md decision 16):
+/// either the peer's local dot ops past the presented cursor, or — when the
+/// cursor fell off the peer's bounded log or names a previous incarnation —
+/// its full state, the same image a checkpoint stores, which the puller
+/// joins. `end_seq` is the peer's log frontier; the puller adopts it as its
+/// new cursor either way.
+class OrSetPullReply {
+ public:
+  static OrSetPullReply delta(std::vector<crdt::DotOp> ops,
+                              std::uint64_t end_seq,
+                              std::uint64_t incarnation) {
+    return OrSetPullReply{std::move(ops), {}, false, end_seq, incarnation};
+  }
+  static OrSetPullReply full_state(wal::OrSetImage image,
+                                   std::uint64_t end_seq,
+                                   std::uint64_t incarnation) {
+    return OrSetPullReply{{}, std::move(image), true, end_seq, incarnation};
+  }
+
+  [[nodiscard]] bool is_full_state() const noexcept { return is_full_state_; }
+  /// Delta only: the ops past the cursor, in log order.
+  [[nodiscard]] const std::vector<crdt::DotOp>& ops() const noexcept {
+    return ops_;
+  }
+  /// Full state only: the peer's dot context and live dots.
+  [[nodiscard]] const wal::OrSetImage& image() const noexcept {
+    return image_;
+  }
+  [[nodiscard]] std::uint64_t end_seq() const noexcept { return end_seq_; }
+  [[nodiscard]] std::uint64_t incarnation() const noexcept {
+    return incarnation_;
+  }
+  /// Entries shipped on the wire — the cost-model unit.
+  [[nodiscard]] std::size_t entry_count() const noexcept {
+    return ops_.size() + image_.live.size() + image_.context_vector.size() +
+           image_.context_cloud.size();
+  }
+
+ private:
+  OrSetPullReply(std::vector<crdt::DotOp> ops, wal::OrSetImage image,
+                 bool is_full_state, std::uint64_t end_seq,
+                 std::uint64_t incarnation)
+      : ops_(std::move(ops)),
+        image_(std::move(image)),
+        is_full_state_(is_full_state),
+        end_seq_(end_seq),
+        incarnation_(incarnation) {}
+
+  std::vector<crdt::DotOp> ops_;
+  wal::OrSetImage image_;
+  bool is_full_state_;
+  std::uint64_t end_seq_;
+  std::uint64_t incarnation_;
 };
 
 }  // namespace weakset::msg

@@ -114,20 +114,6 @@ wal::WalRecord orset_wal_record(CollectionId id, const crdt::DotOp& op,
   return rec;
 }
 
-msg::OrSetWireOp to_wire(const crdt::DotOp& op) {
-  return msg::OrSetWireOp{op.kind() == crdt::DotOp::Kind::kKill
-                              ? msg::OrSetWireOp::kKill
-                              : msg::OrSetWireOp::kInsert,
-                          op.element(), op.dot().origin(), op.dot().counter()};
-}
-
-crdt::DotOp from_wire(const msg::OrSetWireOp& op) {
-  return crdt::DotOp{op.kind() == msg::OrSetWireOp::kKill
-                         ? crdt::DotOp::Kind::kKill
-                         : crdt::DotOp::Kind::kInsert,
-                     op.element(), crdt::Dot{op.origin(), op.counter()}};
-}
-
 wal::CollectionImage image_of(CollectionId id, const CollectionState& state) {
   wal::CollectionImage coll;
   coll.collection = id.raw();
@@ -162,8 +148,20 @@ wal::OrSetImage orset_image_of(CollectionId id, const crdt::OrSet& set) {
   return image;
 }
 
-ObjectRef element_of(const wal::OrSetImage::LiveDot& dot) {
-  return ObjectRef{ObjectId{dot.object}, NodeId{dot.home}};
+/// Joins a fragment's full OR-Set state — its checkpoint image, or a peer's
+/// full-state pull reply — into `set`; returns the dot ops that changed it.
+std::vector<crdt::DotOp> join_image(crdt::OrSet& set,
+                                    const wal::OrSetImage& image) {
+  std::vector<crdt::DotOp> live;
+  live.reserve(image.live.size());
+  for (const wal::OrSetImage::LiveDot& dot : image.live) {
+    live.emplace_back(crdt::DotOp::Kind::kInsert,
+                      ObjectRef{ObjectId{dot.object}, NodeId{dot.home}},
+                      crdt::Dot{dot.origin, dot.counter});
+  }
+  return set.join(
+      crdt::DotContext::from_parts(image.context_vector, image.context_cloud),
+      live);
 }
 
 Failure wrong_epoch(std::uint64_t directory_epoch) {
@@ -221,7 +219,6 @@ void StoreServer::register_handlers() {
                         bind(&StoreServer::handle_read_delta));
   net_.register_handler(node_, "coll.membership",
                         bind(&StoreServer::handle_membership));
-  net_.register_handler(node_, "coll.size", bind(&StoreServer::handle_size));
   net_.register_handler(node_, "coll.freeze",
                         bind(&StoreServer::handle_freeze));
   net_.register_handler(node_, "coll.pin", bind(&StoreServer::handle_pin));
@@ -251,7 +248,8 @@ CollectionState& StoreServer::host_replica(CollectionId id, NodeId primary) {
   assert(inserted && "collection already hosted here");
   install_wal_observer(*it->second);
   attach_backing(id, *it->second);
-  net_.sim().spawn(pull_loop(id, primary));
+  it->second->peers.push_back(primary);
+  net_.sim().spawn(pull_loop(id));
   return it->second->state;
 }
 
@@ -265,22 +263,22 @@ crdt::OrSet& StoreServer::host_orset(CollectionId id) {
   entry->orset = std::make_unique<crdt::OrSet>(id);
   entry->orset->set_origin(
       crdt::make_origin(node_.raw(), entry->state.incarnation()));
+  entry->orset_log.set_cap(options_.membership_log_cap);
   auto [it, inserted] = collections_.emplace(id, std::move(entry));
   assert(inserted && "collection already hosted here");
   // No CollectionState op observer: OR-Set WAL appends are explicit
   // (orset_wal_append), because remote dot ops must be logged too.
-  net_.sim().spawn(orset_pull_loop(id));
+  net_.sim().spawn(pull_loop(id));
   return *it->second->orset;
 }
 
 void StoreServer::add_orset_peer(CollectionId id, NodeId peer) {
   Hosted& entry = hosted(id);
   assert(entry.orset != nullptr && "peer wiring requires OR-Set hosting");
-  if (std::find(entry.orset_peers.begin(), entry.orset_peers.end(), peer) !=
-      entry.orset_peers.end()) {
-    return;
+  if (std::find(entry.peers.begin(), entry.peers.end(), peer) ==
+      entry.peers.end()) {
+    entry.peers.push_back(peer);
   }
-  entry.orset_peers.push_back(peer);
 }
 
 const crdt::OrSet* StoreServer::orset_state(CollectionId id) const {
@@ -302,11 +300,6 @@ CollectionState* StoreServer::collection(CollectionId id) {
 const CollectionState* StoreServer::collection(CollectionId id) const {
   const auto it = collections_.find(id);
   return it == collections_.end() ? nullptr : &it->second->state;
-}
-
-bool StoreServer::is_replica(CollectionId id) const {
-  const auto it = collections_.find(id);
-  return it != collections_.end() && it->second->primary.valid();
 }
 
 StoreServer::Hosted& StoreServer::hosted(CollectionId id) {
@@ -404,7 +397,7 @@ void StoreServer::retire_collection(CollectionId id, NodeId target,
 }
 
 CollectionState& StoreServer::adopt_primary(CollectionId id,
-                                            const wal::CollectionImage& image) {
+                                            const CollectionState& staged) {
   Hosted* entry = find_entry(id);
   if (entry == nullptr) {
     host_primary(id);
@@ -414,17 +407,12 @@ CollectionState& StoreServer::adopt_primary(CollectionId id,
   entry->retired = false;
   entry->retired_epoch = 0;
   entry->handoff_target = NodeId::invalid();
-  std::vector<ObjectRef> members;
-  members.reserve(image.members.size());
-  for (const auto& [object, home] : image.members) {
-    members.emplace_back(ObjectId{object}, NodeId{home});
-  }
   // The adopted membership continues the source's op-sequence stream:
   // cursors and incarnation restore verbatim. Nothing goes through the WAL
   // (restore does not fire the op observer); the checkpoint the migration
   // engine writes right after this makes the adoption durable.
-  entry->state.restore(std::move(members), image.version, image.last_seq,
-                       image.applied_seq, image.incarnation);
+  entry->state.restore(staged.members(), staged.version(), staged.last_seq(),
+                       staged.applied_seq(), staged.incarnation());
   metrics_.add(kMetrics.placement_fragments_adopted);
   return entry->state;
 }
@@ -437,54 +425,103 @@ Task<bool> StoreServer::checkpoint_now() {
 // ---------------------------------------------------------------------------
 // Anti-entropy
 
-Task<void> StoreServer::pull_loop(CollectionId id, NodeId primary) {
+Task<void> StoreServer::pull_loop(CollectionId id) {
   Simulator& sim = net_.sim();
   Hosted& entry = hosted(id);
-  CollectionState& state = entry.state;
   for (;;) {
     co_await sim.delay(options_.pull_interval);
     if (stopping_) co_return;
     if (!serving_) continue;  // recovering: resume pulling afterwards
-    metrics_.add(kMetrics.replica_pull_rounds);
-    const std::uint64_t epoch = epoch_;
-    auto reply = co_await net_.call_typed<msg::PullReply>(
-        node_, primary, "coll.pull",
-        msg::PullRequest{id, state.applied_seq(), state.incarnation()},
-        pull_timeout());
-    if (epoch != epoch_) continue;  // crashed meanwhile: the reply is stale
-    if (!reply) {
-      metrics_.add(kMetrics.replica_pull_failures);
-      continue;  // primary unreachable; retry next round
+    // add_orset_peer may append a peer under a co_await below; this round
+    // pulls the peers it started with.
+    const std::size_t peers = entry.peers.size();
+    for (std::size_t i = 0; i < peers; ++i) {
+      const std::uint64_t epoch = epoch_;
+      if (entry.orset != nullptr) {
+        co_await pull_dots(entry, entry.peers[i]);
+      } else {
+        co_await pull_ops(entry, entry.peers[i]);
+      }
+      if (epoch != epoch_) break;  // crashed meanwhile: this round is stale
     }
-    if (reply.value().is_snapshot()) {
-      // The primary's log was truncated past our cursor (or the sequence
-      // stream changed incarnation): install the full membership and resume
-      // op-by-op from its seq.
-      metrics_.add(kMetrics.replica_snapshot_installs);
-      const std::uint64_t version = reply.value().version();
-      const std::uint64_t seq = reply.value().seq();
-      const std::uint64_t incarnation = reply.value().incarnation();
-      state.install(std::move(reply).value().take_members(), version, seq);
-      state.set_incarnation(incarnation);
-      // Nothing of the installed membership is in the WAL: checkpoint soon
-      // so a crash does not set this replica all the way back.
-      arm_checkpoint();
-      continue;
-    }
-    if (engine_ != nullptr && !reply.value().ops().empty()) {
-      co_await fault_ops(entry, reply.value().ops());
-      if (epoch != epoch_) continue;
-    }
-    // Apply the contiguous prefix past our cursor only: a gap would skip an
-    // op for good.
-    for (const CollectionOp& op : reply.value().ops()) {
-      if (op.seq() <= state.applied_seq()) continue;
-      if (op.seq() != state.applied_seq() + 1) break;
-      state.apply(op);
-      metrics_.add(kMetrics.replica_pull_ops_applied);
-    }
-    VectorPool<CollectionOp>::release(std::move(reply).value().take_ops());
   }
+}
+
+Task<void> StoreServer::pull_ops(Hosted& entry, NodeId primary) {
+  CollectionState& state = entry.state;
+  metrics_.add(kMetrics.replica_pull_rounds);
+  const std::uint64_t epoch = epoch_;
+  auto reply = co_await net_.call_typed<msg::DeltaReply>(
+      node_, primary, "coll.pull",
+      msg::DeltaRequest{state.id(), state.applied_seq(), state.incarnation()},
+      pull_timeout());
+  if (epoch != epoch_) co_return;  // crashed meanwhile: the reply is stale
+  if (!reply) {
+    metrics_.add(kMetrics.replica_pull_failures);
+    co_return;  // primary unreachable; retry next round
+  }
+  if (!reply.value().is_delta()) {
+    // The primary's log was truncated past our cursor (or the sequence
+    // stream changed incarnation): install the full membership and resume
+    // op-by-op from its seq.
+    metrics_.add(kMetrics.replica_snapshot_installs);
+    const std::uint64_t version = reply.value().version();
+    const std::uint64_t seq = reply.value().seq();
+    const std::uint64_t incarnation = reply.value().incarnation();
+    state.install(std::move(reply).value().take_members(), version, seq);
+    state.set_incarnation(incarnation);
+    // Nothing of the installed membership is in the WAL: checkpoint soon
+    // so a crash does not set this replica all the way back.
+    arm_checkpoint();
+    co_return;
+  }
+  if (engine_ != nullptr && !reply.value().ops().empty()) {
+    co_await fault_ops(entry, reply.value().ops());
+    if (epoch != epoch_) co_return;
+  }
+  // Apply the contiguous prefix past our cursor only: a gap would skip an
+  // op for good.
+  for (const CollectionOp& op : reply.value().ops()) {
+    if (op.seq() <= state.applied_seq()) continue;
+    if (op.seq() != state.applied_seq() + 1) break;
+    state.apply(op);
+    metrics_.add(kMetrics.replica_pull_ops_applied);
+  }
+  VectorPool<CollectionOp>::release(std::move(reply).value().take_ops());
+}
+
+Task<void> StoreServer::pull_dots(Hosted& entry, NodeId peer) {
+  const Hosted::OrSetCursor cursor = entry.orset_cursors[peer];
+  metrics_.add(kMetrics.orset_pull_rounds);
+  const std::uint64_t epoch = epoch_;
+  auto reply = co_await net_.call_typed<msg::OrSetPullReply>(
+      node_, peer, "orset.pull",
+      msg::DeltaRequest{entry.state.id(), cursor.after_seq, cursor.incarnation},
+      pull_timeout());
+  if (epoch != epoch_) co_return;  // crashed meanwhile: the reply is stale
+  if (!reply) {
+    metrics_.add(kMetrics.orset_pull_failures);
+    co_return;  // peer unreachable (partition): retry next round
+  }
+  const msg::OrSetPullReply& r = reply.value();
+  if (r.is_full_state()) {
+    // Cursor expired (bounded log) or the peer restarted with amnesia:
+    // merge its full state. join() expresses every state change as a dot
+    // op, which we WAL like any remote delivery.
+    metrics_.add(kMetrics.orset_snapshot_joins);
+    const std::vector<crdt::DotOp> applied =
+        join_image(*entry.orset, r.image());
+    for (const crdt::DotOp& op : applied) orset_wal_append(entry, op);
+    metrics_.add(kMetrics.orset_pull_ops_applied, applied.size());
+  } else {
+    for (const crdt::DotOp& op : r.ops()) {
+      if (entry.orset->apply(op)) {
+        orset_wal_append(entry, op);
+        metrics_.add(kMetrics.orset_pull_ops_applied);
+      }
+    }
+  }
+  entry.orset_cursors[peer] = Hosted::OrSetCursor{r.end_seq(), r.incarnation()};
 }
 
 // ---------------------------------------------------------------------------
@@ -514,13 +551,49 @@ Task<Result<StoreServer::Entered>> StoreServer::enter(CollectionId id,
   co_return Entered{*entry, epoch, std::move(ticket)};
 }
 
-Task<bool> StoreServer::ship(std::size_t entries, std::uint64_t epoch) {
+Duration StoreServer::ship(std::size_t entries) {
   const Duration cost =
       options_.membership_entry_cost * static_cast<std::int64_t>(entries);
   metrics_.add(kMetrics.server_ship_cost_ns,
                static_cast<std::uint64_t>(cost.count_nanos()));
-  co_await net_.sim().delay(cost);
-  co_return epoch == epoch_;
+  return cost;
+}
+
+Task<Result<Payload>> StoreServer::reply_members(const Hosted& entry,
+                                                 std::uint64_t epoch) {
+  // Shipping the whole membership costs per member — the cost delta replies
+  // avoid. An OR-Set fragment serves its local replica, which may lag peers
+  // until anti-entropy quiesces (the availability/staleness trade the mode
+  // buys); its dormant `state` has no ops, so the cursor shipped is 0.
+  metrics_.add(kMetrics.server_snapshot_members_shipped, entry.size());
+  co_await net_.sim().delay(ship(entry.size()));
+  if (epoch != epoch_) co_return node_crashed();
+  const std::vector<ObjectRef>& current = entry.members();
+  std::vector<ObjectRef> members = VectorPool<ObjectRef>::acquire();
+  members.assign(current.begin(), current.end());
+  co_return Payload{msg::DeltaReply::full_snapshot(
+      std::move(members), entry.version(), entry.state.last_seq(),
+      entry.state.incarnation())};
+}
+
+Task<Result<Payload>> StoreServer::reply_ops(const CollectionState& state,
+                                             std::uint64_t since_seq,
+                                             std::uint64_t epoch,
+                                             obs::CounterId shipped) {
+  // Slice the ops and the cursor they run up to at the same instant: a
+  // mutation landing during the shipping delay below would otherwise
+  // advance last_seq past the ops actually shipped, and the follower — which
+  // takes the reply's seq as its cursor — would skip the missed ops forever.
+  const std::uint64_t version = state.version();
+  const std::uint64_t last_seq = state.last_seq();
+  const std::uint64_t incarnation = state.incarnation();
+  std::vector<CollectionOp> ops = VectorPool<CollectionOp>::acquire();
+  state.log().since(since_seq, ops);
+  metrics_.add(shipped, ops.size());
+  co_await net_.sim().delay(ship(ops.size()));
+  if (epoch != epoch_) co_return node_crashed();
+  co_return Payload{
+      msg::DeltaReply::delta(std::move(ops), version, last_seq, incarnation)};
 }
 
 Task<Result<Payload>> StoreServer::handle_fetch(NodeId /*from*/,
@@ -591,14 +664,8 @@ Task<Result<Payload>> StoreServer::handle_snapshot(NodeId from,
   Hosted& entry = in.value().entry;
   ++entry.reads;
   ++entry.reads_by_node[from.raw()];
-  // Shipping the whole membership costs per member — the cost delta reads
-  // avoid (coll.read_delta charges per *change* instead). An OR-Set fragment
-  // serves its local replica, which may lag peers until anti-entropy
-  // quiesces (the availability/staleness trade the mode buys).
   metrics_.add(kMetrics.server_snapshot_reads);
-  metrics_.add(kMetrics.server_snapshot_members_shipped, entry.size());
-  if (!co_await ship(entry.size(), in.value().epoch)) co_return node_crashed();
-  co_return Payload{msg::SnapshotReply{entry.members(), entry.version()}};
+  co_return co_await reply_members(entry, in.value().epoch);
 }
 
 Task<Result<Payload>> StoreServer::handle_read_delta(NodeId from,
@@ -607,7 +674,6 @@ Task<Result<Payload>> StoreServer::handle_read_delta(NodeId from,
   auto in = co_await enter(req.id(), /*admit=*/true);
   if (!in) co_return std::move(in).error();
   Hosted& entry = in.value().entry;
-  const std::uint64_t epoch = in.value().epoch;
   ++entry.reads;
   ++entry.reads_by_node[from.raw()];
   const CollectionState& state = entry.state;
@@ -615,43 +681,23 @@ Task<Result<Payload>> StoreServer::handle_read_delta(NodeId from,
   // incarnation — an amnesia recovery in between starts a new stream whose
   // sequence numbers are unrelated), is inside the retained log window,
   // *and* the delta is no larger than the membership itself; otherwise
-  // resync the reader with a full snapshot. since_seq > last_seq means the
+  // resync the reader with a full snapshot. A cursor past last_seq means the
   // reader followed a fresher host here by mistake (the client keys its
-  // cache per host precisely to avoid this) — treated as a resync, not an
-  // error. OR-Set fragments have no single op-sequence stream a cursor could
+  // cache per host precisely to avoid this) — a resync, not an error.
+  // OR-Set fragments have no single op-sequence stream a cursor could
   // follow (dots interleave from many origins), so their readers always
-  // resync; their dormant `state` has no ops, so the cursor shipped is 0.
+  // resync.
   const bool can_delta = entry.orset == nullptr && req.since_seq() != 0 &&
                          req.since_incarnation() == state.incarnation() &&
-                         req.since_seq() <= state.last_seq() &&
-                         state.can_serve_ops_since(req.since_seq()) &&
+                         state.log().covers(req.since_seq()) &&
                          state.last_seq() - req.since_seq() <= state.size();
   if (!can_delta) {
     metrics_.add(kMetrics.server_delta_resyncs);
-    metrics_.add(kMetrics.server_snapshot_members_shipped, entry.size());
-    if (!co_await ship(entry.size(), epoch)) co_return node_crashed();
-    const std::vector<ObjectRef>& current = entry.members();
-    std::vector<ObjectRef> members = VectorPool<ObjectRef>::acquire();
-    members.assign(current.begin(), current.end());
-    co_return Payload{msg::DeltaReply::full_snapshot(
-        std::move(members), entry.version(), state.last_seq(),
-        state.incarnation())};
+    co_return co_await reply_members(entry, in.value().epoch);
   }
-  // Slice the ops and the cursor they run up to at the same instant: a
-  // mutation landing during the shipping delay below would otherwise
-  // advance last_seq past the ops actually shipped, and the client — which
-  // stores the reply's seq as its cursor — would skip the missed ops
-  // forever.
-  const std::uint64_t version = state.version();
-  const std::uint64_t last_seq = state.last_seq();
-  const std::uint64_t incarnation = state.incarnation();
-  std::vector<CollectionOp> ops = VectorPool<CollectionOp>::acquire();
-  state.ops_since(req.since_seq(), ops);
   metrics_.add(kMetrics.server_delta_reads);
-  metrics_.add(kMetrics.server_delta_ops_shipped, ops.size());
-  if (!co_await ship(ops.size(), epoch)) co_return node_crashed();
-  co_return Payload{
-      msg::DeltaReply::delta(std::move(ops), version, last_seq, incarnation)};
+  co_return co_await reply_ops(state, req.since_seq(), in.value().epoch,
+                               kMetrics.server_delta_ops_shipped);
 }
 
 Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
@@ -712,11 +758,12 @@ Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
       // misses a mutation. The target applies without re-announcing to the
       // mutation sink — ground truth sees each op exactly once.
       const NodeId target = entry.handoff_target;
-      const CollectionOp op{kind, req.ref(), entry.state.last_seq()};
+      msg::SyncRequest forward{
+          req.id(), {CollectionOp{kind, req.ref(), entry.state.last_seq()}},
+          entry.state.incarnation()};
       metrics_.add(kMetrics.placement_handoff_forwards);
       auto forwarded = co_await net_.call_typed<msg::HandoffApplyReply>(
-          node_, target, "mig.apply",
-          msg::HandoffApplyRequest{req.id(), op, entry.state.incarnation()});
+          node_, target, "mig.apply", std::move(forward));
       if (epoch != epoch_) co_return node_crashed();
       if (!forwarded) {
         // Target unreachable mid-handoff: drop back to single home here.
@@ -748,16 +795,11 @@ bool StoreServer::apply_local(Hosted& entry, bool is_add, ObjectRef ref) {
   // why it survives a partition; anti-entropy ships the logged dot ops.
   const std::vector<crdt::DotOp> ops =
       is_add ? entry.orset->add(ref) : entry.orset->remove(ref);
-  for (const crdt::DotOp& op : ops) orset_append_local(entry, op);
+  for (const crdt::DotOp& op : ops) {
+    entry.orset_log.append(op);
+    orset_wal_append(entry, op);
+  }
   return !ops.empty();
-}
-
-Task<Result<Payload>> StoreServer::handle_size(NodeId /*from*/,
-                                                Payload request) {
-  const auto req = payload_cast<msg::SizeRequest>(std::move(request));
-  auto in = co_await enter(req.id(), /*admit=*/true);
-  if (!in) co_return std::move(in).error();
-  co_return Payload{static_cast<std::uint64_t>(in.value().entry.size())};
 }
 
 void StoreServer::release_freeze(Hosted& entry) {
@@ -836,33 +878,22 @@ Task<Result<Payload>> StoreServer::handle_pin(NodeId /*from*/,
 
 Task<Result<Payload>> StoreServer::handle_pull(NodeId /*from*/,
                                                 Payload request) {
-  const auto req = payload_cast<msg::PullRequest>(std::move(request));
+  const auto req = payload_cast<msg::DeltaRequest>(std::move(request));
   auto in = co_await enter(req.id(), /*admit=*/false);
   if (!in) co_return std::move(in).error();
   const CollectionState& state = in.value().entry.state;
-  const std::uint64_t epoch = in.value().epoch;
   metrics_.add(kMetrics.server_pulls_served);
   // A replica that fell behind the bounded log window cannot catch up op by
   // op any more — and one whose cursor belongs to another incarnation
   // (amnesia recovery on either side) cannot catch up at all: send the
   // whole membership for wholesale install.
-  if (req.incarnation() != state.incarnation() ||
-      !state.can_serve_ops_since(req.after_seq())) {
+  if (req.since_incarnation() != state.incarnation() ||
+      !state.log().covers(req.since_seq())) {
     metrics_.add(kMetrics.server_pull_snapshots);
-    metrics_.add(kMetrics.server_snapshot_members_shipped, state.size());
-    if (!co_await ship(state.size(), epoch)) co_return node_crashed();
-    std::vector<ObjectRef> members = VectorPool<ObjectRef>::acquire();
-    members.assign(state.members().begin(), state.members().end());
-    co_return Payload{msg::PullReply::snapshot(
-        std::move(members), state.version(), state.last_seq(),
-        state.incarnation())};
+    co_return co_await reply_members(in.value().entry, in.value().epoch);
   }
-  std::vector<CollectionOp> ops = VectorPool<CollectionOp>::acquire();
-  state.ops_since(req.after_seq(), ops);
-  const std::uint64_t incarnation = state.incarnation();
-  metrics_.add(kMetrics.server_pull_ops_shipped, ops.size());
-  if (!co_await ship(ops.size(), epoch)) co_return node_crashed();
-  co_return Payload{msg::PullReply{std::move(ops), incarnation}};
+  co_return co_await reply_ops(state, req.since_seq(), in.value().epoch,
+                               kMetrics.server_pull_ops_shipped);
 }
 
 // ---------------------------------------------------------------------------
@@ -875,73 +906,9 @@ void StoreServer::orset_wal_append(Hosted& entry, const crdt::DotOp& op) {
   arm_checkpoint();
 }
 
-void StoreServer::orset_append_local(Hosted& entry, const crdt::DotOp& op) {
-  entry.orset_log.push_back(op);
-  ++entry.orset_last_seq;
-  if (options_.membership_log_cap != 0 &&
-      entry.orset_log.size() > options_.membership_log_cap) {
-    entry.orset_log.pop_front();
-  }
-  orset_wal_append(entry, op);
-}
-
-Task<void> StoreServer::orset_pull_loop(CollectionId id) {
-  Simulator& sim = net_.sim();
-  Hosted& entry = hosted(id);
-  for (;;) {
-    co_await sim.delay(options_.pull_interval);
-    if (stopping_) co_return;
-    if (!serving_) continue;  // recovering: resume pulling afterwards
-    // Copy the peer list: add_orset_peer may grow it under a co_await.
-    const std::vector<NodeId> peers = entry.orset_peers;
-    for (const NodeId peer : peers) {
-      const Hosted::OrSetCursor cursor = entry.orset_cursors[peer];
-      metrics_.add(kMetrics.orset_pull_rounds);
-      const std::uint64_t epoch = epoch_;
-      auto reply = co_await net_.call_typed<msg::OrSetPullReply>(
-          node_, peer, "orset.pull",
-          msg::PullRequest{id, cursor.after_seq, cursor.incarnation},
-          pull_timeout());
-      if (epoch != epoch_) break;  // crashed meanwhile: this round is stale
-      if (!reply) {
-        metrics_.add(kMetrics.orset_pull_failures);
-        continue;  // peer unreachable (partition): retry next round
-      }
-      const msg::OrSetPullReply& r = reply.value();
-      if (r.is_snapshot()) {
-        // Cursor expired (bounded log) or the peer restarted with amnesia:
-        // merge its full state. join() expresses every state change as a
-        // dot op, which we WAL like any remote delivery.
-        metrics_.add(kMetrics.orset_snapshot_joins);
-        const crdt::DotContext remote_ctx =
-            crdt::DotContext::from_parts(r.context_vector(), r.context_cloud());
-        std::vector<crdt::DotOp> remote_live;
-        remote_live.reserve(r.ops().size());
-        for (const msg::OrSetWireOp& op : r.ops()) {
-          remote_live.push_back(from_wire(op));
-        }
-        const std::vector<crdt::DotOp> applied =
-            entry.orset->join(remote_ctx, remote_live);
-        for (const crdt::DotOp& op : applied) orset_wal_append(entry, op);
-        metrics_.add(kMetrics.orset_pull_ops_applied, applied.size());
-      } else {
-        for (const msg::OrSetWireOp& wire : r.ops()) {
-          const crdt::DotOp op = from_wire(wire);
-          if (entry.orset->apply(op)) {
-            orset_wal_append(entry, op);
-            metrics_.add(kMetrics.orset_pull_ops_applied);
-          }
-        }
-      }
-      entry.orset_cursors[peer] =
-          Hosted::OrSetCursor{r.end_seq(), r.incarnation()};
-    }
-  }
-}
-
 Task<Result<Payload>> StoreServer::handle_orset_pull(NodeId /*from*/,
                                                      Payload request) {
-  const auto req = payload_cast<msg::PullRequest>(std::move(request));
+  const auto req = payload_cast<msg::DeltaRequest>(std::move(request));
   auto in = co_await enter(req.id(), /*admit=*/false);
   if (!in) co_return std::move(in).error();
   const Hosted& entry = in.value().entry;
@@ -951,40 +918,23 @@ Task<Result<Payload>> StoreServer::handle_orset_pull(NodeId /*from*/,
   }
   metrics_.add(kMetrics.orset_pulls_served);
   const std::uint64_t incarnation = entry.state.incarnation();
-  const std::uint64_t log_floor = entry.orset_last_seq - entry.orset_log.size();
+  const std::uint64_t end_seq = entry.orset_log.last_seq();
   // Cursor from another incarnation (someone restarted with amnesia) or
-  // below the bounded log window: ship the full state for a join.
-  if (req.incarnation() != incarnation || req.after_seq() < log_floor ||
-      req.after_seq() > entry.orset_last_seq) {
-    wal::OrSetImage image = orset_image_of(req.id(), *entry.orset);
-    std::vector<msg::OrSetWireOp> live;
-    live.reserve(image.live.size());
-    for (const wal::OrSetImage::LiveDot& dot : image.live) {
-      live.emplace_back(msg::OrSetWireOp::kInsert, element_of(dot),
-                        dot.origin, dot.counter);
-    }
-    const std::uint64_t end_seq = entry.orset_last_seq;
-    const std::size_t entries = live.size() + image.context_vector.size() +
-                                image.context_cloud.size();
-    metrics_.add(kMetrics.orset_pull_snapshots);
-    metrics_.add(kMetrics.orset_pull_entries_shipped, entries);
-    if (!co_await ship(entries, epoch)) co_return node_crashed();
-    co_return Payload{msg::OrSetPullReply::snapshot(
-        std::move(live), std::move(image.context_vector),
-        std::move(image.context_cloud), end_seq, incarnation)};
-  }
-  std::vector<msg::OrSetWireOp> ops;
-  ops.reserve(static_cast<std::size_t>(entry.orset_last_seq - req.after_seq()));
-  for (std::uint64_t seq = req.after_seq() + 1; seq <= entry.orset_last_seq;
-       ++seq) {
-    ops.push_back(to_wire(
-        entry.orset_log[static_cast<std::size_t>(seq - log_floor - 1)]));
-  }
-  const std::uint64_t end_seq = entry.orset_last_seq;
-  metrics_.add(kMetrics.orset_pull_entries_shipped, ops.size());
-  if (!co_await ship(ops.size(), epoch)) co_return node_crashed();
-  co_return Payload{
-      msg::OrSetPullReply::delta(std::move(ops), end_seq, incarnation)};
+  // off the bounded log window: ship the full state for a join.
+  const bool can_delta = req.since_incarnation() == incarnation &&
+                         entry.orset_log.covers(req.since_seq());
+  if (!can_delta) metrics_.add(kMetrics.orset_pull_snapshots);
+  msg::OrSetPullReply reply =
+      can_delta ? msg::OrSetPullReply::delta(
+                      entry.orset_log.since(req.since_seq()), end_seq,
+                      incarnation)
+                : msg::OrSetPullReply::full_state(
+                      orset_image_of(req.id(), *entry.orset), end_seq,
+                      incarnation);
+  metrics_.add(kMetrics.orset_pull_entries_shipped, reply.entry_count());
+  co_await net_.sim().delay(ship(reply.entry_count()));
+  if (epoch != epoch_) co_return node_crashed();
+  co_return Payload{std::move(reply)};
 }
 
 // ---------------------------------------------------------------------------
@@ -1191,8 +1141,7 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
       // a join merged in since the last checkpoint (join merges peers'
       // contexts wholesale but WALs only the *effective* ops).
       *entry.orset = crdt::OrSet{ids[i]};
-      entry.orset_log.clear();
-      entry.orset_last_seq = 0;
+      entry.orset_log.reset(0);
       entry.orset_cursors.clear();
     }
     entry.state.wipe_volatile();
@@ -1286,16 +1235,7 @@ StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
             it->second->orset == nullptr) {
           continue;
         }
-        std::vector<crdt::DotOp> live;
-        live.reserve(orset.live.size());
-        for (const wal::OrSetImage::LiveDot& dot : orset.live) {
-          live.emplace_back(crdt::DotOp::Kind::kInsert, element_of(dot),
-                            crdt::Dot{dot.origin, dot.counter});
-        }
-        (void)it->second->orset->join(
-            crdt::DotContext::from_parts(orset.context_vector,
-                                         orset.context_cloud),
-            live);
+        (void)join_image(*it->second->orset, orset);
       }
     }
   }

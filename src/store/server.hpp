@@ -124,7 +124,8 @@ class StoreServer {
   CollectionState& host_primary(CollectionId id);
 
   /// Starts hosting `id` as a replica of the fragment primary at `primary`.
-  /// Spawns the anti-entropy process, which pulls forever at pull_interval.
+  /// Spawns the fragment's pull daemon, which pulls forever at
+  /// pull_interval.
   CollectionState& host_replica(CollectionId id, NodeId primary);
 
   // -- OR-Set multi-master mode (src/crdt, DESIGN.md decision 16) ----------
@@ -132,7 +133,7 @@ class StoreServer {
   /// Starts hosting `id` as an OR-Set multi-master fragment: this node
   /// accepts membership writes locally, tags them with dots, and converges
   /// with its peers via all-pairs dot-op anti-entropy (orset.pull). Spawns
-  /// the pull daemon.
+  /// the fragment's pull daemon.
   crdt::OrSet& host_orset(CollectionId id);
 
   /// Registers another host of OR-Set fragment `id` as an anti-entropy peer.
@@ -150,9 +151,6 @@ class StoreServer {
   /// node does not host `id`.
   [[nodiscard]] CollectionState* collection(CollectionId id);
   [[nodiscard]] const CollectionState* collection(CollectionId id) const;
-
-  /// True if this node hosts `id` as a replica (not primary).
-  [[nodiscard]] bool is_replica(CollectionId id) const;
 
   // -- live fragment migration (src/placement, DESIGN.md decision 12) ------
 
@@ -206,13 +204,14 @@ class StoreServer {
   void retire_collection(CollectionId id, NodeId target,
                          std::uint64_t directory_epoch);
 
-  /// Migration commit, target side: installs `image` as a hosted fragment
-  /// primary continuing the source's op-sequence stream (cursors and
-  /// incarnation verbatim). Reuses (and un-retires) a tombstoned entry when
+  /// Migration commit, target side: installs the `staged` copy as a hosted
+  /// fragment primary continuing the source's op-sequence stream (members,
+  /// cursors and incarnation verbatim; its log stays behind, so delta
+  /// readers resync once). Reuses (and un-retires) a tombstoned entry when
   /// the fragment migrates back. The caller persists the adoption with
   /// checkpoint_now() before the source retires.
   CollectionState& adopt_primary(CollectionId id,
-                                 const wal::CollectionImage& image);
+                                 const CollectionState& staged);
 
   /// Writes a checkpoint immediately (true on success; trivially true when
   /// durability is off). The migration engine calls this on the target so
@@ -301,18 +300,19 @@ class StoreServer {
     std::uint64_t reads = 0;
     std::uint64_t ops = 0;
     std::map<std::uint64_t, std::uint64_t> reads_by_node;
+    // Whom the pull daemon pulls: the primary of a replica, or every other
+    // host of an OR-Set fragment. Only ever grows.
+    std::vector<NodeId> peers;
     // OR-Set multi-master mode (DESIGN.md decision 16). Non-null marks the
     // entry as CRDT-hosted: membership RPCs mutate the OR-Set locally, the
-    // outbound log retains this host's *local* dot ops (contiguous seqs
-    // from 1, bounded by membership_log_cap), and the pull daemon drags
-    // every peer's log over with per-peer cursors. The entry's
-    // CollectionState is dormant except for its incarnation, which doubles
-    // as the dot-namespace salt (make_origin) and the log-stream id peers
-    // use to detect an amnesia restart.
+    // outbound log retains this host's *local* dot ops (bounded by
+    // membership_log_cap), and the pull daemon drags every peer's log over
+    // with per-peer cursors. The entry's CollectionState is dormant except
+    // for its incarnation, which doubles as the dot-namespace salt
+    // (make_origin) and the log-stream id peers use to detect an amnesia
+    // restart.
     std::unique_ptr<crdt::OrSet> orset;
-    std::deque<crdt::DotOp> orset_log;
-    std::uint64_t orset_last_seq = 0;
-    std::vector<NodeId> orset_peers;
+    OpLog<crdt::DotOp> orset_log;
     struct OrSetCursor {
       std::uint64_t after_seq = 0;
       std::uint64_t incarnation = 0;
@@ -368,9 +368,17 @@ class StoreServer {
   /// membership_latency, fences on a crash meanwhile, then resolves `id` —
   /// unhosted is kNotFound, a tombstone kWrongEpoch.
   Task<Result<Entered>> enter(CollectionId id, bool admit);
-  /// Charges the transfer of `entries` membership entries (ship_cost_ns, then
-  /// the delay); false if an amnesia crash since `epoch` intervened.
-  Task<bool> ship(std::size_t entries, std::uint64_t epoch);
+  /// The transfer time of `entries` membership entries, counted into
+  /// ship_cost_ns. The caller waits it out, then fences on its crash epoch.
+  [[nodiscard]] Duration ship(std::size_t entries);
+  /// A full-membership DeltaReply of `entry`, after charging its ship cost.
+  Task<Result<Payload>> reply_members(const Hosted& entry,
+                                      std::uint64_t epoch);
+  /// A DeltaReply of the ops in `state`'s log past `since_seq` (which the
+  /// log must cover), counted into `shipped` and charged before it goes.
+  Task<Result<Payload>> reply_ops(const CollectionState& state,
+                                  std::uint64_t since_seq, std::uint64_t epoch,
+                                  obs::CounterId shipped);
   Hosted& hosted(CollectionId id);
   /// The hosted entry (tombstones included); nullptr if never hosted.
   [[nodiscard]] Hosted* find_entry(CollectionId id);
@@ -382,13 +390,15 @@ class StoreServer {
   [[nodiscard]] Duration pull_timeout() const {
     return options_.pull_interval * 4;
   }
-  Task<void> pull_loop(CollectionId id, NodeId primary);
-  /// OR-Set anti-entropy daemon: pulls dot ops from every peer at
-  /// pull_interval, falling back to full-state join when a cursor expires.
-  Task<void> orset_pull_loop(CollectionId id);
-  /// Appends a *local* dot op to the outbound log (trimming to the cap) and
-  /// WALs it.
-  void orset_append_local(Hosted& entry, const crdt::DotOp& op);
+  /// A hosted fragment's anti-entropy daemon: every pull_interval it pulls
+  /// each of the entry's peers once, in order.
+  Task<void> pull_loop(CollectionId id);
+  /// One coll.pull of a replica from its primary: applies the ops past the
+  /// replica's cursor, or installs the snapshot the primary resyncs it with.
+  Task<void> pull_ops(Hosted& entry, NodeId primary);
+  /// One orset.pull from an OR-Set peer: applies its dot ops past this
+  /// host's cursor on it, or joins its full state once the cursor expired.
+  Task<void> pull_dots(Hosted& entry, NodeId peer);
   /// WAL-appends one applied dot op and arms the checkpoint (no-op when
   /// durability is off or during recovery replay).
   void orset_wal_append(Hosted& entry, const crdt::DotOp& op);
@@ -434,7 +444,6 @@ class StoreServer {
   Task<Result<Payload>> handle_snapshot(NodeId from, Payload request);
   Task<Result<Payload>> handle_read_delta(NodeId from, Payload request);
   Task<Result<Payload>> handle_membership(NodeId from, Payload request);
-  Task<Result<Payload>> handle_size(NodeId from, Payload request);
   Task<Result<Payload>> handle_freeze(NodeId from, Payload request);
   Task<Result<Payload>> handle_pin(NodeId from, Payload request);
   Task<Result<Payload>> handle_pull(NodeId from, Payload request);

@@ -328,6 +328,50 @@ TEST_F(OrSetReplicationTest, JoinLearnedContextSurvivesCheckpointAndRecovery) {
   EXPECT_FALSE(orset_at(0)->contains(gone));
 }
 
+TEST_F(OrSetReplicationTest, PullShipsADeltaWhileThePeersLogCoversTheCursor) {
+  // orset.pull answers with dot ops exactly while the peer's bounded
+  // outbound log still covers the puller's cursor (OpLog::covers), and
+  // with its full state after that. With a log cap of 4, a host cut off at
+  // cursor S still catches up on four more local ops of a peer as a delta;
+  // five push the op after S out of the log and force a join.
+  StoreServerOptions opts;
+  opts.pull_interval = Duration::millis(20);
+  opts.membership_log_cap = 4;
+  opts.metrics = &metrics;
+  build(opts);
+  StoreServer& writer = *repo.server_at(hosts[0]);
+  std::vector<ObjectRef> refs;
+  // Local ops at host 0, spaced so host 2 (never cut off) keeps up.
+  const auto write = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      refs.push_back(repo.create_object(hosts[0], "x"));
+      EXPECT_TRUE(writer.seed_orset_member(coll, refs.back()));
+      sleep_for(opts.pull_interval * 3);
+    }
+  };
+  const auto cut_off_and_write = [&](int count) {
+    topo.partition({{hosts[0], hosts[2], client_node}, {hosts[1]}});
+    write(count);
+    topo.heal();
+    EXPECT_LE(convergence_time(Duration::seconds(2)), Duration::millis(200));
+    for (const ObjectRef ref : refs) EXPECT_TRUE(orset_at(1)->contains(ref));
+  };
+
+  write(2);  // S = 2
+  EXPECT_LE(convergence_time(Duration::seconds(2)), Duration::millis(200));
+  const std::uint64_t snapshots =
+      metrics.counter("store.orset.pull_snapshots");
+  const std::uint64_t joins = metrics.counter("store.orset.snapshot_joins");
+
+  cut_off_and_write(4);  // host 0's log holds S+1..S+4: a delta still
+  EXPECT_EQ(metrics.counter("store.orset.pull_snapshots"), snapshots);
+  EXPECT_EQ(metrics.counter("store.orset.snapshot_joins"), joins);
+
+  cut_off_and_write(5);  // the op after host 1's cursor is trimmed: a join
+  EXPECT_EQ(metrics.counter("store.orset.pull_snapshots"), snapshots + 1);
+  EXPECT_EQ(metrics.counter("store.orset.snapshot_joins"), joins + 1);
+}
+
 TEST_F(OrSetReplicationTest, OrSetFragmentsRefuseMigration) {
   build();
   EXPECT_TRUE(repo.server_at(hosts[0])->migration_blocked(coll));

@@ -146,6 +146,110 @@ TEST_F(PlacementTest, LiveMigrationMovesAFragmentEndToEnd) {
   EXPECT_EQ(reg.counter("placement.fragments_retired"), 1u);
 }
 
+// The target side of a migration driven RPC by RPC: a staging of fragment
+// `coll` (from `source`) holding a, b, c at cursor S (version 3), and the two
+// ops the source's stream carries next — d added at S+1, a removed at S+2.
+class PlacementStagingTest : public PlacementTest {
+ protected:
+  static constexpr std::uint64_t kS = 3;
+
+  void SetUp() override {
+    build();
+    a = repo.create_object(servers[2], "a");
+    b = repo.create_object(servers[2], "b");
+    c = repo.create_object(servers[2], "c");
+    d = repo.create_object(servers[2], "d");
+    add_d = CollectionOp{CollectionOp::Kind::kAdd, d, kS + 1};
+    remove_a = CollectionOp{CollectionOp::Kind::kRemove, a, kS + 2};
+    coll = repo.create_collection({source});
+    incarnation = repo.server_at(source)->collection(coll)->incarnation();
+    ASSERT_TRUE(run_task(sim, net.call_typed<bool>(
+                                  client_node, target, "mig.begin",
+                                  placement::msg::MigBeginRequest{
+                                      coll, source, incarnation}))
+                    .has_value());
+    const auto chunk = run_task(
+        sim, net.call_typed<placement::msg::MigChunkReply>(
+                 client_node, target, "mig.chunk",
+                 placement::msg::MigChunkRequest{coll, {a, b, c},
+                                                 /*final_chunk=*/true,
+                                                 /*version=*/3, kS,
+                                                 incarnation}));
+    ASSERT_TRUE(chunk.has_value());
+    ASSERT_EQ(chunk.value().staged(), 3u);
+  }
+
+  /// mig.ops or mig.apply of `ops`; resolves to the staging's ack cursor.
+  Result<msg::HandoffApplyReply> send(const char* method,
+                                      std::vector<CollectionOp> ops) {
+    return run_task(sim, net.call_typed<msg::HandoffApplyReply>(
+                             client_node, target, method,
+                             msg::SyncRequest{coll, std::move(ops),
+                                              incarnation}));
+  }
+
+  Result<placement::msg::MigFinishReply> finish(std::uint64_t expected) {
+    return run_task(sim, net.call_typed<placement::msg::MigFinishReply>(
+                             client_node, target, "mig.finish",
+                             placement::msg::MigFinishRequest{coll, expected}));
+  }
+
+  /// Promotes at S+2 and checks the adopted primary: [a, b, c] + d, then
+  /// a's removal swaps d into its slot.
+  void expect_promoted_at_s_plus_2() {
+    const auto promoted = finish(kS + 2);
+    ASSERT_TRUE(promoted.has_value());
+    EXPECT_TRUE(promoted.value().promoted());
+    EXPECT_EQ(promoted.value().applied_seq(), kS + 2);
+    ASSERT_TRUE(repo.server_at(target)->hosts_primary(coll));
+    const CollectionState* adopted = repo.server_at(target)->collection(coll);
+    ASSERT_NE(adopted, nullptr);
+    EXPECT_EQ(adopted->members(), (std::vector<ObjectRef>{d, b, c}));
+    EXPECT_EQ(adopted->version(), 5u);
+    EXPECT_EQ(adopted->applied_seq(), kS + 2);
+    EXPECT_EQ(adopted->last_seq(), kS + 2);
+    EXPECT_EQ(adopted->incarnation(), incarnation);
+  }
+
+  const NodeId source = servers[0];
+  const NodeId target = servers[1];
+  ObjectRef a, b, c, d;
+  CollectionOp add_d, remove_a;
+  CollectionId coll;
+  std::uint64_t incarnation = 0;
+};
+
+TEST_F(PlacementStagingTest, HoldsAnOvertakingForwardUntilItsGapFills) {
+  // A dual-home forward (mig.apply) can overtake the catch-up batch
+  // (mig.ops) carrying the op before it. The staging must hold the
+  // forward, refuse to promote while the gap is open, and apply both in
+  // order once the batch lands.
+  const auto forwarded = send("mig.apply", {remove_a});
+  ASSERT_TRUE(forwarded.has_value());
+  EXPECT_EQ(forwarded.value().applied_seq(), kS);  // held
+
+  const auto early = finish(kS + 2);
+  ASSERT_TRUE(early.has_value());
+  EXPECT_FALSE(early.value().promoted());  // S+1 is still missing
+  EXPECT_EQ(early.value().applied_seq(), kS);
+  EXPECT_FALSE(repo.server_at(target)->hosts_primary(coll));
+
+  const auto batch = send("mig.ops", {add_d, remove_a});
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch.value().applied_seq(), kS + 2);
+  expect_promoted_at_s_plus_2();
+}
+
+TEST_F(PlacementStagingTest, DrainsAHeldForwardBehindTheOpItWaitedFor) {
+  // Forwards past the cut line are not re-shipped by mig.ops: a held
+  // forward must apply as soon as the op before it arrives.
+  ASSERT_TRUE(send("mig.apply", {remove_a}).has_value());
+  const auto batch = send("mig.ops", {add_d});
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch.value().applied_seq(), kS + 2);
+  expect_promoted_at_s_plus_2();
+}
+
 TEST_F(PlacementTest, StaleClientHealsWithExactlyOneRetryPerEpochBump) {
   build();
   const CollectionId coll = repo.create_collection({servers[0]});

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "crdt/orset.hpp"
 #include "store/client.hpp"
 #include "store/collection.hpp"
 #include "store/object_store.hpp"
@@ -101,14 +102,14 @@ TEST(CollectionStateTest, OpLogIsContiguous) {
   state.add(ref(1));
   state.add(ref(2));
   state.remove(ref(1));
-  const auto ops = state.ops_since(0);
+  const auto ops = state.log().since(0);
   ASSERT_EQ(ops.size(), 3u);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     EXPECT_EQ(ops[i].seq(), i + 1);
   }
   EXPECT_EQ(ops[2].kind(), CollectionOp::Kind::kRemove);
-  EXPECT_EQ(state.ops_since(2).size(), 1u);
-  EXPECT_TRUE(state.ops_since(3).empty());
+  EXPECT_EQ(state.log().since(2).size(), 1u);
+  EXPECT_TRUE(state.log().since(3).empty());
 }
 
 TEST(CollectionStateTest, ReplicaConvergesViaApply) {
@@ -117,7 +118,7 @@ TEST(CollectionStateTest, ReplicaConvergesViaApply) {
   primary.add(ref(1));
   primary.add(ref(2));
   primary.remove(ref(1));
-  for (const auto& op : primary.ops_since(replica.applied_seq())) {
+  for (const auto& op : primary.log().since(replica.applied_seq())) {
     replica.apply(op);
   }
   EXPECT_EQ(replica.size(), 1u);
@@ -129,7 +130,7 @@ TEST(CollectionStateTest, ApplyIsIdempotent) {
   CollectionState primary{CollectionId{0}};
   CollectionState replica{CollectionId{0}};
   primary.add(ref(1));
-  const auto ops = primary.ops_since(0);
+  const auto ops = primary.log().since(0);
   replica.apply(ops[0]);
   replica.apply(ops[0]);  // duplicate delivery
   EXPECT_EQ(replica.size(), 1u);
@@ -141,10 +142,10 @@ TEST(CollectionStateTest, BoundedLogTruncatesButSeqSurvives) {
   state.set_log_cap(4);
   for (std::uint64_t i = 0; i < 10; ++i) state.add(ref(i));
   EXPECT_EQ(state.last_seq(), 10u);
-  EXPECT_EQ(state.log_floor_seq(), 7u);  // ops 7..10 retained
-  EXPECT_FALSE(state.can_serve_ops_since(5));  // op 6 already dropped
-  EXPECT_TRUE(state.can_serve_ops_since(6));
-  const auto ops = state.ops_since(6);
+  EXPECT_EQ(state.log().floor_seq(), 7u);  // ops 7..10 retained
+  EXPECT_FALSE(state.log().covers(5));  // op 6 already dropped
+  EXPECT_TRUE(state.log().covers(6));
+  const auto ops = state.log().since(6);
   ASSERT_EQ(ops.size(), 4u);
   EXPECT_EQ(ops.front().seq(), 7u);
   EXPECT_EQ(ops.back().seq(), 10u);
@@ -153,17 +154,17 @@ TEST(CollectionStateTest, BoundedLogTruncatesButSeqSurvives) {
 TEST(CollectionStateTest, CapZeroKeepsEverything) {
   CollectionState state{CollectionId{0}};
   for (std::uint64_t i = 0; i < 100; ++i) state.add(ref(i));
-  EXPECT_EQ(state.log_floor_seq(), 1u);
-  EXPECT_TRUE(state.can_serve_ops_since(0));
-  EXPECT_EQ(state.ops_since(0).size(), 100u);
+  EXPECT_EQ(state.log().floor_seq(), 1u);
+  EXPECT_TRUE(state.log().covers(0));
+  EXPECT_EQ(state.log().since(0).size(), 100u);
 }
 
 TEST(CollectionStateTest, ShrinkingCapTrimsRetroactively) {
   CollectionState state{CollectionId{0}};
   for (std::uint64_t i = 0; i < 8; ++i) state.add(ref(i));
   state.set_log_cap(3);
-  EXPECT_EQ(state.log_floor_seq(), 6u);
-  EXPECT_EQ(state.ops_since(5).size(), 3u);
+  EXPECT_EQ(state.log().floor_seq(), 6u);
+  EXPECT_EQ(state.log().since(5).size(), 3u);
 }
 
 TEST(CollectionStateTest, InstallReplacesStateAndResetsLog) {
@@ -177,13 +178,13 @@ TEST(CollectionStateTest, InstallReplacesStateAndResetsLog) {
   EXPECT_EQ(replica.applied_seq(), 42u);
   // The local log restarts at the install point: readers behind it must
   // take a snapshot, readers at it have nothing to catch up.
-  EXPECT_FALSE(replica.can_serve_ops_since(41));
-  EXPECT_TRUE(replica.can_serve_ops_since(42));
-  EXPECT_TRUE(replica.ops_since(42).empty());
+  EXPECT_FALSE(replica.log().covers(41));
+  EXPECT_TRUE(replica.log().covers(42));
+  EXPECT_TRUE(replica.log().since(42).empty());
   // And the log resumes cleanly past the installed sequence.
   EXPECT_TRUE(replica.add(ref(4)));
-  EXPECT_EQ(replica.ops_since(42).size(), 1u);
-  EXPECT_EQ(replica.ops_since(42).front().seq(), 43u);
+  EXPECT_EQ(replica.log().since(42).size(), 1u);
+  EXPECT_EQ(replica.log().since(42).front().seq(), 43u);
 }
 
 TEST(CollectionStateTest, ReplicaRelogsAppliedOpsAndServesDeltas) {
@@ -194,10 +195,10 @@ TEST(CollectionStateTest, ReplicaRelogsAppliedOpsAndServesDeltas) {
   primary.add(ref(1));
   primary.add(ref(2));
   primary.remove(ref(1));
-  for (const auto& op : primary.ops_since(0)) replica.apply(op);
+  for (const auto& op : primary.log().since(0)) replica.apply(op);
   EXPECT_EQ(replica.last_seq(), 3u);
-  EXPECT_TRUE(replica.can_serve_ops_since(0));
-  EXPECT_EQ(replica.ops_since(0), primary.ops_since(0));
+  EXPECT_TRUE(replica.log().covers(0));
+  EXPECT_EQ(replica.log().since(0), primary.log().since(0));
 }
 
 TEST(CollectionStateTest, ReplayPreservesMemberOrder) {
@@ -208,7 +209,7 @@ TEST(CollectionStateTest, ReplayPreservesMemberOrder) {
   for (std::uint64_t i = 0; i < 5; ++i) primary.add(ref(i));
   primary.remove(ref(1));  // swap-with-last: 4 moves into slot 1
   MemberList mirror;
-  for (const auto& op : primary.ops_since(0)) {
+  for (const auto& op : primary.log().since(0)) {
     if (op.kind() == CollectionOp::Kind::kAdd) {
       mirror.insert(op.ref());
     } else {
@@ -218,6 +219,102 @@ TEST(CollectionStateTest, ReplayPreservesMemberOrder) {
   EXPECT_EQ(mirror.members(), primary.members());
   const std::vector<ObjectRef> expected{ref(0), ref(4), ref(2), ref(3)};
   EXPECT_EQ(primary.members(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// OpLog: the bounded op window behind every membership stream — a
+// fragment's CollectionOp log and an OR-Set host's outbound dot-op log.
+
+template <typename Op>
+Op op_number(std::uint64_t seq);
+template <>
+CollectionOp op_number<CollectionOp>(std::uint64_t seq) {
+  return CollectionOp{CollectionOp::Kind::kAdd, ref(seq), seq};
+}
+template <>
+crdt::DotOp op_number<crdt::DotOp>(std::uint64_t seq) {
+  return crdt::DotOp{crdt::DotOp::Kind::kInsert, ref(seq), crdt::Dot{1, seq}};
+}
+
+template <typename Op>
+class OpLogTest : public ::testing::Test {
+ protected:
+  /// Appends the ops numbered last_seq()+1 .. `upto`.
+  void append_through(std::uint64_t upto) {
+    while (log.last_seq() < upto) log.append(op_number<Op>(log.last_seq() + 1));
+  }
+  /// The ops numbered first .. last, as since() should return them.
+  static std::vector<Op> numbered(std::uint64_t first, std::uint64_t last) {
+    std::vector<Op> ops;
+    for (std::uint64_t seq = first; seq <= last; ++seq) {
+      ops.push_back(op_number<Op>(seq));
+    }
+    return ops;
+  }
+
+  OpLog<Op> log;
+};
+
+using OpTypes = ::testing::Types<CollectionOp, crdt::DotOp>;
+TYPED_TEST_SUITE(OpLogTest, OpTypes);
+
+TYPED_TEST(OpLogTest, CoversExactlyTheCursorsItCanServe) {
+  this->log.set_cap(4);
+  this->append_through(10);
+  EXPECT_EQ(this->log.last_seq(), 10u);
+  EXPECT_EQ(this->log.floor_seq(), 7u);
+  // A cursor at floor-1 still gets every op after it; one at last_seq gets
+  // nothing, and that is complete too.
+  EXPECT_TRUE(this->log.covers(this->log.floor_seq() - 1));
+  EXPECT_TRUE(this->log.covers(this->log.last_seq()));
+  // At floor-2 the op numbered floor-1 is gone; past last_seq the cursor
+  // names ops this stream never had.
+  EXPECT_FALSE(this->log.covers(this->log.floor_seq() - 2));
+  EXPECT_FALSE(this->log.covers(this->log.last_seq() + 1));
+}
+
+TYPED_TEST(OpLogTest, SinceReturnsExactlyTheOpsPastTheCursor) {
+  this->log.set_cap(4);
+  this->append_through(10);
+  EXPECT_EQ(this->log.since(6), this->numbered(7, 10));
+  EXPECT_EQ(this->log.since(8), this->numbered(9, 10));
+  EXPECT_TRUE(this->log.since(10).empty());
+  // The into-buffer form replaces whatever the buffer held.
+  std::vector<TypeParam> out = this->numbered(1, 3);
+  this->log.since(9, out);
+  EXPECT_EQ(out, this->numbered(10, 10));
+}
+
+TYPED_TEST(OpLogTest, CapTrimsOnAppendAndOnSetCap) {
+  this->log.set_cap(4);
+  this->append_through(4);
+  EXPECT_EQ(this->log.floor_seq(), 1u);
+  this->append_through(5);
+  EXPECT_EQ(this->log.floor_seq(), 2u);  // op 1 trimmed by the append
+  EXPECT_EQ(this->log.since(1), this->numbered(2, 5));
+
+  this->log.set_cap(0);  // unbounded from here on
+  this->append_through(12);
+  EXPECT_EQ(this->log.floor_seq(), 2u);
+  this->log.set_cap(3);  // trims at once
+  EXPECT_EQ(this->log.floor_seq(), 10u);
+  EXPECT_FALSE(this->log.covers(8));
+  EXPECT_EQ(this->log.since(9), this->numbered(10, 12));
+}
+
+TYPED_TEST(OpLogTest, ResetLeavesAnEmptyWindowThatCoversItsSeq) {
+  this->log.set_cap(4);
+  this->append_through(6);
+  this->log.reset(42);
+  EXPECT_EQ(this->log.last_seq(), 42u);
+  EXPECT_EQ(this->log.floor_seq(), 43u);
+  EXPECT_TRUE(this->log.covers(42));
+  EXPECT_TRUE(this->log.since(42).empty());
+  EXPECT_FALSE(this->log.covers(41));
+  EXPECT_FALSE(this->log.covers(43));
+  // Numbering resumes past the reset point.
+  this->append_through(43);
+  EXPECT_EQ(this->log.since(42), this->numbered(43, 43));
 }
 
 // ---------------------------------------------------------------------------
@@ -565,6 +662,43 @@ TEST_F(RepositoryTest, DeltaReplyCursorMatchesShippedOps) {
   const auto members = run_task(sim, client.read_all(coll));
   ASSERT_TRUE(members.has_value());
   EXPECT_EQ(members.value(), (std::vector<ObjectRef>{a, b, c}));
+}
+
+TEST_F(RepositoryTest, PullPastThePrimarysLastSeqIsResynced) {
+  // coll.pull, coll.read_delta and orset.pull share one window rule
+  // (OpLog::covers): a cursor past the stream's last_seq in the same
+  // incarnation names ops the stream never had, so it gets the full state.
+  // coll.pull used to answer such a cursor with an empty delta. No run
+  // reaches this case — a replica's cursor only ever comes from its
+  // primary's own stream — so this drives the RPC directly.
+  const CollectionId coll = repo.create_collection({server_nodes[0]});
+  const ObjectRef a = repo.create_object(server_nodes[0], "a");
+  const ObjectRef b = repo.create_object(server_nodes[1], "b");
+  RepositoryClient client{repo, client_node};
+  ASSERT_TRUE(run_task(sim, client.add(coll, a)).value_or(false));
+  ASSERT_TRUE(run_task(sim, client.add(coll, b)).value_or(false));
+  const CollectionState* state =
+      repo.server_at(server_nodes[0])->collection(coll);
+  ASSERT_NE(state, nullptr);
+  ASSERT_EQ(state->last_seq(), 2u);
+
+  const auto pull = [&](std::uint64_t since_seq) {
+    return run_task(sim, net.call_typed<msg::DeltaReply>(
+                             client_node, server_nodes[0], "coll.pull",
+                             msg::DeltaRequest{coll, since_seq,
+                                               state->incarnation()}));
+  };
+  const auto caught_up = pull(2);
+  ASSERT_TRUE(caught_up.has_value());
+  EXPECT_TRUE(caught_up.value().is_delta());
+  EXPECT_TRUE(caught_up.value().ops().empty());
+
+  const auto ahead = pull(5);
+  ASSERT_TRUE(ahead.has_value());
+  EXPECT_FALSE(ahead.value().is_delta());
+  EXPECT_EQ(ahead.value().members(), (std::vector<ObjectRef>{a, b}));
+  EXPECT_EQ(ahead.value().seq(), 2u);
+  EXPECT_EQ(ahead.value().version(), 2u);
 }
 
 TEST_F(RepositoryTest, OverlappingReadAllsDoNotReplayAbsorbedOps) {
