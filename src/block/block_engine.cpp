@@ -4,6 +4,7 @@
 #include <string_view>
 
 #include "util/hash.hpp"
+#include "wal/wal.hpp"
 
 namespace weakset::block {
 namespace {
@@ -24,109 +25,12 @@ const BlockMetrics kMetrics{};
 
 constexpr std::uint32_t kSuperMagic = 0x31534257;  // "WBS1"
 constexpr std::uint64_t kBucketSeed = 0x77654b53u;  // "SKew"
+/// Superblock bytes before its free-range count: the magic, the collection,
+/// the proto counters and the root and allocator fields.
+constexpr std::size_t kSuperFields = 92;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-struct Reader {
-  std::string_view bytes;
-  std::size_t at = 0;
-  bool ok = true;
-
-  std::uint32_t u32() {
-    if (at + 4 > bytes.size()) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes[at + i]))
-           << (8 * i);
-    }
-    at += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (at + 8 > bytes.size()) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes[at + i]))
-           << (8 * i);
-    }
-    at += 8;
-    return v;
-  }
-};
-
-std::string encode_leaf(
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& members) {
-  std::string out;
-  out.reserve(4 + 16 * members.size());
-  put_u32(out, static_cast<std::uint32_t>(members.size()));
-  for (const auto& [object, home] : members) {
-    put_u64(out, object);
-    put_u64(out, home);
-  }
-  return out;
-}
-
-std::optional<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-decode_leaf(const std::string& bytes) {
-  Reader r{bytes};
-  const std::uint32_t count = r.u32();
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> members;
-  members.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t object = r.u64();
-    const std::uint64_t home = r.u64();
-    if (!r.ok) return std::nullopt;
-    members.emplace_back(object, home);
-  }
-  if (!r.ok) return std::nullopt;
-  return members;
-}
-
-std::string encode_root(const std::vector<Extent>& buckets) {
-  std::string out;
-  out.reserve(4 + 12 * buckets.size());
-  put_u32(out, static_cast<std::uint32_t>(buckets.size()));
-  for (const Extent& e : buckets) {
-    put_u64(out, e.first);
-    put_u32(out, e.nblocks);
-  }
-  return out;
-}
-
-std::optional<std::vector<Extent>> decode_root(const std::string& bytes) {
-  Reader r{bytes};
-  const std::uint32_t count = r.u32();
-  std::vector<Extent> buckets;
-  buckets.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Extent e;
-    e.first = r.u64();
-    e.nblocks = r.u32();
-    if (!r.ok) return std::nullopt;
-    buckets.push_back(e);
-  }
-  if (!r.ok || buckets.empty()) return std::nullopt;
-  return buckets;
-}
+using wal::put_u32;
+using wal::put_u64;
 
 struct Superblock {
   ProtoState proto;
@@ -139,6 +43,7 @@ struct Superblock {
 
 std::string encode_superblock(std::uint64_t collection, const Superblock& sb) {
   std::string out;
+  out.reserve(kSuperFields + 4 + 16 * sb.image.free_ranges.size() + 8);
   put_u32(out, kSuperMagic);
   put_u64(out, collection);
   put_u64(out, sb.proto.incarnation);
@@ -157,39 +62,38 @@ std::string encode_superblock(std::uint64_t collection, const Superblock& sb) {
     put_u64(out, first);
     put_u64(out, nblocks);
   }
-  put_u64(out, fnv1a(out));
+  wal::seal(out);
   return out;
 }
 
 std::optional<Superblock> decode_superblock(std::uint64_t collection,
                                             const std::string& bytes) {
-  if (bytes.size() < 8) return std::nullopt;
-  const std::string_view body{bytes.data(), bytes.size() - 8};
-  Reader tail{bytes, bytes.size() - 8};
-  if (tail.u64() != fnv1a(body)) return std::nullopt;
-  Reader r{body};
-  Superblock sb;
-  if (r.u32() != kSuperMagic) return std::nullopt;
-  if (r.u64() != collection) return std::nullopt;
-  sb.proto.incarnation = r.u64();
-  sb.proto.version = r.u64();
-  sb.proto.last_seq = r.u64();
-  sb.proto.applied_seq = r.u64();
-  sb.proto.wal_upto = r.u64();
-  sb.generation = r.u64();
-  sb.members = r.u64();
-  sb.nbuckets = r.u32();
-  sb.root.first = r.u64();
-  sb.root.nblocks = r.u32();
-  sb.image.next_block = r.u64();
-  const std::uint32_t nranges = r.u32();
-  for (std::uint32_t i = 0; i < nranges; ++i) {
-    const std::uint64_t first = r.u64();
-    const std::uint64_t nblocks = r.u64();
-    if (!r.ok) return std::nullopt;
-    sb.image.free_ranges.emplace_back(first, nblocks);
+  const auto body = wal::unseal(bytes);
+  if (!body) return std::nullopt;
+  wal::Reader in{*body};
+  if (in.left() < kSuperFields || in.u32() != kSuperMagic ||
+      in.u64() != collection) {
+    return std::nullopt;
   }
-  if (!r.ok || sb.nbuckets == 0) return std::nullopt;
+  Superblock sb;
+  sb.proto.incarnation = in.u64();
+  sb.proto.version = in.u64();
+  sb.proto.last_seq = in.u64();
+  sb.proto.applied_seq = in.u64();
+  sb.proto.wal_upto = in.u64();
+  sb.generation = in.u64();
+  sb.members = in.u64();
+  sb.nbuckets = in.u32();
+  sb.root.first = in.u64();
+  sb.root.nblocks = in.u32();
+  sb.image.next_block = in.u64();
+  const auto nranges = in.count32(16);
+  if (!nranges || sb.nbuckets == 0) return std::nullopt;
+  for (std::size_t i = 0; i < *nranges; ++i) {
+    const std::uint64_t first = in.u64();
+    sb.image.free_ranges.emplace_back(first, in.u64());
+  }
+  if (in.left() != 0) return std::nullopt;
   return sb;
 }
 
@@ -202,6 +106,57 @@ std::string superblock_name(std::uint64_t collection) {
 }
 
 }  // namespace
+
+std::string encode_leaf(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& members) {
+  std::string out;
+  out.reserve(4 + 16 * members.size());
+  put_u32(out, static_cast<std::uint32_t>(members.size()));
+  for (const auto& [object, home] : members) {
+    put_u64(out, object);
+    put_u64(out, home);
+  }
+  return out;
+}
+
+std::optional<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+decode_leaf(std::string_view bytes) {
+  wal::Reader in{bytes};
+  const auto count = in.count32(16);
+  if (!count) return std::nullopt;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> members;
+  members.reserve(*count);
+  for (std::size_t i = 0; i < *count; ++i) {
+    const std::uint64_t object = in.u64();
+    members.emplace_back(object, in.u64());
+  }
+  if (in.left() != 0) return std::nullopt;
+  return members;
+}
+
+std::string encode_root(const std::vector<Extent>& buckets) {
+  std::string out;
+  out.reserve(4 + 12 * buckets.size());
+  put_u32(out, static_cast<std::uint32_t>(buckets.size()));
+  for (const Extent& e : buckets) {
+    put_u64(out, e.first);
+    put_u32(out, e.nblocks);
+  }
+  return out;
+}
+
+std::optional<std::vector<Extent>> decode_root(std::string_view bytes) {
+  wal::Reader in{bytes};
+  const auto count = in.count32(12);
+  if (!count || *count == 0) return std::nullopt;
+  std::vector<Extent> buckets(*count);
+  for (Extent& e : buckets) {
+    e.first = in.u64();
+    e.nblocks = in.u32();
+  }
+  if (in.left() != 0) return std::nullopt;
+  return buckets;
+}
 
 BlockEngine::BlockEngine(Simulator& sim, SimDisk& disk,
                          const BlockStorageOptions& options,

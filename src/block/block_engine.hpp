@@ -29,6 +29,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,6 +77,19 @@ struct ProtoState {
   /// WAL index the publishing checkpoint covered (diagnostic cursor).
   std::uint64_t wal_upto = 0;
 };
+
+/// The page codec, in wal.hpp's integers: a leaf page is a u32 member count
+/// and that many (object, home) pairs; a root page is a u32 bucket count and
+/// that many (first block u64, block count u32) extents. Decoding returns
+/// nullopt on a short or overlong page and on a count the page cannot hold.
+[[nodiscard]] std::string encode_leaf(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& members);
+std::optional<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+decode_leaf(std::string_view bytes);
+[[nodiscard]] std::string encode_root(const std::vector<Extent>& buckets);
+/// Also nullopt for a root without buckets.
+[[nodiscard]] std::optional<std::vector<Extent>> decode_root(
+    std::string_view bytes);
 
 class BlockEngine {
  public:

@@ -8,39 +8,6 @@
 #include "wal/wal.hpp"
 
 namespace weakset::block {
-namespace {
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 BlockManager::BlockManager(SimDisk& disk, std::string device,
                            std::uint32_t block_size)
@@ -132,8 +99,8 @@ std::vector<std::string> BlockManager::seal_blocks(
     const std::string_view chunk{payload.data() + at, len};
     std::string block;
     block.reserve(kBlockHeader + len);
-    put_u32(block, static_cast<std::uint32_t>(len));
-    put_u64(block, wal::checksum(chunk));
+    wal::put_u32(block, static_cast<std::uint32_t>(len));
+    wal::put_u64(block, wal::checksum(chunk));
     block.append(chunk);
     blocks.push_back(std::move(block));
   }
@@ -145,8 +112,8 @@ std::optional<std::string> BlockManager::unseal_blocks(
   std::string payload;
   for (const auto& block : blocks) {
     if (!block || block->size() < kBlockHeader) return std::nullopt;
-    const std::uint32_t len = get_u32(*block, 0);
-    const std::uint64_t sum = get_u64(*block, 4);
+    const std::uint32_t len = wal::get_u32(*block, 0);
+    const std::uint64_t sum = wal::get_u64(*block, 4);
     if (block->size() != kBlockHeader + len) return std::nullopt;
     const std::string_view chunk{block->data() + kBlockHeader, len};
     if (wal::checksum(chunk) != sum) return std::nullopt;  // torn block

@@ -12,23 +12,73 @@
 // The price is currency: a hit may serve an old version (bounded by the
 // cache TTL). That trade is exactly the paper's "users are usually willing
 // to tolerate some inconsistency for a gain in performance".
+//
+// Hoarding is the same cache put to work for disconnected operation. The
+// paper's environment includes "(possibly mobile) workstations" where
+// "disconnecting a mobile client from the network while traveling is an
+// induced failure, yet consistency of data may be sacrificed to gain high
+// performance and high availability" (section 1.1). While connected,
+// hoard() captures the membership and fills the cache with every payload;
+// from then on a membership read that fails (the disconnection) is served
+// from the hoard, so iterators complete offline. The hoarded membership is
+// frozen at hoard time, so offline runs may yield removed members (ghosts)
+// and miss additions; the spec layer measures exactly that
+// (tests/hoard_test.cpp). A view that never hoarded propagates the failure.
+
+#include <optional>
+#include <vector>
 
 #include "core/set_view.hpp"
 #include "store/cache.hpp"
 
 namespace weakset {
 
+struct HoardStats {
+  std::uint64_t stale_membership_serves = 0;  ///< offline membership reads
+  std::uint64_t hoards = 0;                   ///< completed hoard() calls
+};
+
 class CachingSetView final : public SetView {
  public:
   CachingSetView(SetView& inner, CacheOptions options = {})
       : inner_(inner), sim_(inner.sim()), cache_(options) {}
 
+  /// While connected: reads the membership and fetches every member into
+  /// the cache. Fails if the membership read fails; unreachable members are
+  /// skipped (they simply won't be available offline).
+  Task<Result<void>> hoard() {
+    Result<std::vector<ObjectRef>> members = co_await inner_.read_members();
+    if (!members) co_return std::move(members).error();
+    for (const ObjectRef ref : members.value()) {
+      if (cache_.contains(ref, now())) continue;
+      Result<VersionedValue> value = co_await inner_.fetch(ref);
+      if (value) cache_.put(ref, std::move(value).value(), now());
+    }
+    hoarded_membership_ = std::move(members).value();
+    ++hoard_stats_.hoards;
+    co_return Ok();
+  }
+
+  [[nodiscard]] bool has_hoard() const noexcept {
+    return hoarded_membership_.has_value();
+  }
+
+  /// Live read; the hoarded membership when the live read fails and there
+  /// is a hoard to fall back on.
   Task<Result<std::vector<ObjectRef>>> read_members() override {
-    return inner_.read_members();
+    Result<std::vector<ObjectRef>> live = co_await inner_.read_members();
+    served_from_hoard_ = !live && hoarded_membership_.has_value();
+    if (!served_from_hoard_) co_return live;
+    ++hoard_stats_.stale_membership_serves;
+    co_return *hoarded_membership_;
   }
   [[nodiscard]] MembershipReadMode last_read_mode() const override {
+    // A hoard serve ships the (locally) full hoarded membership.
+    if (served_from_hoard_) return MembershipReadMode{1, 0};
     return inner_.last_read_mode();
   }
+  /// Snapshots and locks need the live system: a disconnected snapshot
+  /// would be a contradiction in terms.
   Task<Result<std::vector<ObjectRef>>> snapshot_atomic(
       std::function<void()> on_cut) override {
     return inner_.snapshot_atomic(std::move(on_cut));
@@ -95,6 +145,9 @@ class CachingSetView final : public SetView {
   [[nodiscard]] const CacheStats& stats() const noexcept {
     return cache_.stats();
   }
+  [[nodiscard]] const HoardStats& hoard_stats() const noexcept {
+    return hoard_stats_;
+  }
 
  private:
   [[nodiscard]] SimTime now() const { return sim_.now(); }
@@ -102,6 +155,9 @@ class CachingSetView final : public SetView {
   SetView& inner_;
   Simulator& sim_;
   mutable ObjectCache cache_;
+  std::optional<std::vector<ObjectRef>> hoarded_membership_;
+  HoardStats hoard_stats_;
+  bool served_from_hoard_ = false;
 };
 
 }  // namespace weakset

@@ -26,7 +26,7 @@
 #include <deque>
 #include <vector>
 
-#include "core/hoard_view.hpp"
+#include "core/caching_view.hpp"
 #include "core/repo_view.hpp"
 #include "store/client.hpp"
 
@@ -61,7 +61,8 @@ class MobileSetClient final : public SetView {
         inner_(client, collection),
         hoard_(inner_, cache_options) {}
 
-  /// While connected: capture membership and payloads (see HoardingSetView).
+  /// While connected: capture membership and payloads (see
+  /// CachingSetView::hoard).
   Task<Result<void>> hoard() { return hoard_.hoard(); }
 
   /// Adds `ref` to the set. Connected: a normal membership RPC.
@@ -79,7 +80,7 @@ class MobileSetClient final : public SetView {
     return log_.size();
   }
   [[nodiscard]] const HoardStats& hoard_stats() const noexcept {
-    return hoard_.stats();
+    return hoard_.hoard_stats();
   }
 
   // -- SetView (reads through hoard + overlay) -------------------------------
@@ -88,6 +89,9 @@ class MobileSetClient final : public SetView {
     Result<std::vector<ObjectRef>> base = co_await hoard_.read_members();
     if (!base) co_return base;
     co_return overlay(std::move(base).value());
+  }
+  [[nodiscard]] MembershipReadMode last_read_mode() const override {
+    return hoard_.last_read_mode();
   }
 
   Task<Result<std::vector<ObjectRef>>> snapshot_atomic(
@@ -110,6 +114,10 @@ class MobileSetClient final : public SetView {
   }
   Task<Result<VersionedValue>> fetch(ObjectRef ref) override {
     return hoard_.fetch(ref);
+  }
+  Task<std::vector<Result<VersionedValue>>> fetch_many(
+      std::vector<ObjectRef> refs) override {
+    return hoard_.fetch_many(std::move(refs));
   }
   [[nodiscard]] Simulator& sim() override { return hoard_.sim(); }
 
@@ -137,7 +145,7 @@ class MobileSetClient final : public SetView {
   RepositoryClient& client_;
   CollectionId collection_;
   RepoSetView inner_;
-  HoardingSetView hoard_;
+  CachingSetView hoard_;
   std::deque<PendingOp> log_;
 };
 

@@ -107,15 +107,13 @@ Task<Result<Payload>> RpcNetwork::call(NodeId from, NodeId to, MethodId method,
 
   const auto request_latency = delivery_latency(from, to);
   if (!request_latency) {
-    // No live path. With detectable failures (the paper's assumption) the
-    // transport signals this quickly; otherwise the timeout stands alone.
-    if (options_.fast_fail_unreachable) {
-      sim_.schedule(options_.detection_delay, [this, to, reply]() mutable {
-        const auto kind = topology_.is_up(to) ? FailureKind::kPartitioned
-                                              : FailureKind::kNodeCrashed;
-        reply.try_set(Failure{kind, "destination unreachable"});
-      });
-    }
+    // No live path: failures are detectable (the paper's assumption), so
+    // the transport signals this quickly.
+    sim_.schedule(options_.detection_delay, [this, to, reply]() mutable {
+      const auto kind = topology_.is_up(to) ? FailureKind::kPartitioned
+                                            : FailureKind::kNodeCrashed;
+      reply.try_set(Failure{kind, "destination unreachable"});
+    });
   } else {
     // Deliver the request after the path latency. Reachability is
     // re-checked at delivery time: a partition or crash occurring while the

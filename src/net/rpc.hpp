@@ -11,9 +11,10 @@
 //
 // RpcNetwork delivers a request after the live path latency (with jitter),
 // runs the registered handler as a server-side process, and delivers the
-// reply the same way. Crashes and partitions drop messages; the caller
-// observes either a fast "detected" failure (the paper's assumption, default)
-// or a timeout.
+// reply the same way. A destination with no live path when the call is made
+// fails fast, after the transport's detection delay (the paper's
+// assumption). A message lost in flight, to a crash or a partition that
+// happens while it travels, is only noticed by the caller's timeout.
 //
 // Hot-path memory discipline (DESIGN.md decision 13): method names are
 // interned once into a dense MethodId table — dispatch is an index lookup,
@@ -55,11 +56,8 @@ struct RpcOptions {
   Duration local_latency = Duration::micros(20);
   /// Per-message multiplicative jitter: delivery takes latency * U[1, 1+j].
   double jitter = 0.2;
-  /// If true, an unreachable destination is reported after `detection_delay`
-  /// (lower layers signal the failure, per the paper). If false, the caller
-  /// burns the full timeout.
-  bool fast_fail_unreachable = true;
-  /// How long the transport takes to signal an unreachable destination.
+  /// How long the transport takes to signal an unreachable destination
+  /// (lower layers signal the failure, per the paper).
   Duration detection_delay = Duration::millis(2);
   /// Telemetry sink: per-op latency histograms, outcome counters, and call
   /// spans land here. nullptr = the process-global registry (obs::global()).

@@ -70,6 +70,10 @@ class QuerySetView final : public SetView {
   Task<Result<VersionedValue>> fetch(ObjectRef ref) override {
     return client_.fetch(ref);
   }
+  Task<std::vector<Result<VersionedValue>>> fetch_many(
+      std::vector<ObjectRef> refs) override {
+    return client_.fetch_many(std::move(refs));
+  }
   [[nodiscard]] Simulator& sim() override { return client_.repo().sim(); }
 
   /// Nodes skipped (unreachable / failed) during the last best-effort read.

@@ -3,21 +3,29 @@
 #include "fs/file.hpp"
 
 namespace weakset {
+namespace {
+
+/// The scan cost model both services charge.
+constexpr Duration kBaseLatency = Duration::millis(1);
+/// Per object swept: an index-free scan, or an index (re)build.
+constexpr Duration kPerObject = Duration::micros(20);
+/// Per index candidate: posting fetch plus predicate verification.
+constexpr Duration kPerCandidate = Duration::micros(5);
+
+}  // namespace
 
 void QueryService::install(NodeId node) {
   StoreServer* server = repo_.server_at(node);
   assert(server != nullptr && "no store server on that node");
   RpcNetwork& net = repo_.net();
-  const ScanOptions options = options_;
   net.register_handler(
       node, "query.scan",
-      [server, node, options, &net](NodeId,
-                                    Payload request) -> Task<Result<Payload>> {
+      [server, node, &net](NodeId, Payload request) -> Task<Result<Payload>> {
         const auto req = payload_cast<msg::ScanRequest>(std::move(request));
         const ObjectStore& store = server->objects();
         co_await net.sim().delay(
-            options.base_latency +
-            options.per_object * static_cast<std::int64_t>(store.size()));
+            kBaseLatency +
+            kPerObject * static_cast<std::int64_t>(store.size()));
         std::vector<ObjectRef> matches;
         store.for_each([&](ObjectId id, const VersionedValue& value) {
           if (req.predicate().matches(FileInfo::decode(value.data()))) {
@@ -38,21 +46,19 @@ void IndexedQueryService::install(NodeId node) {
   assert(inserted && "indexed scan already installed on that node");
   NodeIndex* node_index = it->second.get();
   RpcNetwork& net = repo_.net();
-  const IndexedScanOptions options = options_;
   net.register_handler(
       node, "query.scan",
-      [this, server, node, node_index, options,
+      [this, server, node, node_index,
        &net](NodeId, Payload request) -> Task<Result<Payload>> {
         const auto req = payload_cast<msg::ScanRequest>(std::move(request));
         const ObjectStore& store = server->objects();
-        co_await net.sim().delay(options.base_latency);
+        co_await net.sim().delay(kBaseLatency);
 
         // Lazy (re)build when the store changed since the last build.
         if (!node_index->built ||
             node_index->built_at_version != store.store_version()) {
           co_await net.sim().delay(
-              options.per_object_sweep *
-              static_cast<std::int64_t>(store.size()));
+              kPerObject * static_cast<std::int64_t>(store.size()));
           node_index->index.clear();
           store.for_each([&](ObjectId id, const VersionedValue& value) {
             node_index->index.index_object(id,
@@ -71,8 +77,7 @@ void IndexedQueryService::install(NodeId node) {
           const std::vector<ObjectId> candidates =
               node_index->index.lookup(predicate.argument());
           co_await net.sim().delay(
-              options.per_candidate *
-              static_cast<std::int64_t>(candidates.size()));
+              kPerCandidate * static_cast<std::int64_t>(candidates.size()));
           for (const ObjectId id : candidates) {
             const auto value = store.get(id);
             if (value &&
@@ -83,8 +88,7 @@ void IndexedQueryService::install(NodeId node) {
         } else {
           ++sweeps_;
           co_await net.sim().delay(
-              options.per_object_sweep *
-              static_cast<std::int64_t>(store.size()));
+              kPerObject * static_cast<std::int64_t>(store.size()));
           store.for_each([&](ObjectId id, const VersionedValue& value) {
             if (predicate.matches(FileInfo::decode(value.data()))) {
               matches.emplace_back(id, node);

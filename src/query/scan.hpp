@@ -5,7 +5,8 @@
 // Each installed node scans its local object store against a shipped
 // PredicateSpec and returns the matching refs. Scan cost is modelled as a
 // base latency plus a per-object charge (index-free sweep, like grepping a
-// WAIS archive).
+// WAIS archive); the indexed variant below charges the same two, plus a
+// per-candidate charge for what its index answers.
 
 #include <memory>
 #include <unordered_map>
@@ -33,15 +34,9 @@ class ScanRequest {
 
 }  // namespace msg
 
-struct ScanOptions {
-  Duration base_latency = Duration::millis(1);
-  Duration per_object = Duration::micros(20);
-};
-
 class QueryService {
  public:
-  explicit QueryService(Repository& repo, ScanOptions options = {})
-      : repo_(repo), options_(options) {}
+  explicit QueryService(Repository& repo) : repo_(repo) {}
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
@@ -55,17 +50,6 @@ class QueryService {
 
  private:
   Repository& repo_;
-  ScanOptions options_;
-};
-
-/// Cost model for the indexed scan endpoint.
-struct IndexedScanOptions {
-  Duration base_latency = Duration::millis(1);
-  /// Cost per object when the index must be (re)built or when the predicate
-  /// forces a full sweep.
-  Duration per_object_sweep = Duration::micros(20);
-  /// Cost per index candidate (posting fetch + predicate verification).
-  Duration per_candidate = Duration::micros(5);
 };
 
 /// The indexed variant of the scan endpoint: maintains a per-node inverted
@@ -75,9 +59,7 @@ struct IndexedScanOptions {
 /// sweep. The WAIS-style archive substrate.
 class IndexedQueryService {
  public:
-  explicit IndexedQueryService(Repository& repo,
-                               IndexedScanOptions options = {})
-      : repo_(repo), options_(options) {}
+  explicit IndexedQueryService(Repository& repo) : repo_(repo) {}
   IndexedQueryService(const IndexedQueryService&) = delete;
   IndexedQueryService& operator=(const IndexedQueryService&) = delete;
 
@@ -101,7 +83,6 @@ class IndexedQueryService {
   };
 
   Repository& repo_;
-  IndexedScanOptions options_;
   std::unordered_map<NodeId, std::unique_ptr<NodeIndex>> indexes_;
   std::uint64_t index_hits_ = 0;
   std::uint64_t sweeps_ = 0;

@@ -172,6 +172,13 @@ Failure node_crashed() {
   return Failure{FailureKind::kNodeCrashed, "node crashed"};
 }
 
+/// Every server draws its own crash lottery: fork the configured seed by
+/// node id so same-seed runs stay byte-identical but servers differ.
+SimDiskOptions node_disk_options(SimDiskOptions options, NodeId node) {
+  options.seed ^= 0x9e3779b97f4a7c15ull * (node.raw() + 1);
+  return options;
+}
+
 }  // namespace
 
 StoreServer::StoreServer(RpcNetwork& net, NodeId node,
@@ -180,22 +187,15 @@ StoreServer::StoreServer(RpcNetwork& net, NodeId node,
       node_(node),
       options_(options),
       metrics_(obs::sink(options.metrics)),
-      admission_(net.sim(), options.admission, metrics_) {
-  if (options_.durability.enabled) {
-    SimDiskOptions disk_options = options_.durability.disk;
-    // Every server draws its own crash lottery: fork the configured seed by
-    // node id so same-seed runs stay byte-identical but servers differ.
-    disk_options.seed ^= 0x9e3779b97f4a7c15ull * (node_.raw() + 1);
-    disk_ = std::make_unique<SimDisk>(net_.sim(), disk_options);
-    wal_ = std::make_unique<wal::WalWriter>(net_.sim(), *disk_, kWalFile,
-                                            options_.durability.fsync_interval,
-                                            &metrics_);
-    if (options_.durability.block.enabled) {
-      engine_ = std::make_unique<block::BlockEngine>(
-          net_.sim(), *disk_, options_.durability.block, metrics_);
-      if (options_.durability.block.compaction_interval > Duration::zero()) {
-        net_.sim().spawn(compaction_loop());
-      }
+      admission_(net.sim(), options.admission, metrics_),
+      disk_(net.sim(), node_disk_options(options.durability.disk, node)),
+      wal_(net.sim(), disk_, kWalFile, options.durability.fsync_interval,
+           &metrics_) {
+  if (options_.durability.block.enabled) {
+    engine_ = std::make_unique<block::BlockEngine>(
+        net_.sim(), disk_, options_.durability.block, metrics_);
+    if (options_.durability.block.compaction_interval > Duration::zero()) {
+      net_.sim().spawn(compaction_loop());
     }
   }
   register_handlers();
@@ -357,9 +357,8 @@ wal::CollectionImage StoreServer::export_image(CollectionId id) const {
 }
 
 void StoreServer::log_migration_begin(CollectionId id, NodeId target) {
-  if (!options_.durability.enabled) return;
   Hosted& entry = hosted(id);
-  last_wal_index_ = wal_->append(
+  last_wal_index_ = wal_.append(
       migration_record(wal::WalRecord::kMigrationBegin, id, target,
                        /*directory_epoch=*/0, entry.state.incarnation()));
   arm_checkpoint();
@@ -387,12 +386,10 @@ void StoreServer::retire_collection(CollectionId id, NodeId target,
   release_freeze(entry);
   entry.pin_count = 0;
   entry.deferred_removes.clear();
-  if (options_.durability.enabled) {
-    last_wal_index_ = wal_->append(
-        migration_record(wal::WalRecord::kMigrationDone, id, target,
-                         directory_epoch, entry.state.incarnation()));
-    arm_checkpoint();  // the next checkpoint drops the tombstoned state
-  }
+  last_wal_index_ = wal_.append(
+      migration_record(wal::WalRecord::kMigrationDone, id, target,
+                       directory_epoch, entry.state.incarnation()));
+  arm_checkpoint();  // the next checkpoint drops the tombstoned state
   metrics_.add(kMetrics.placement_fragments_retired);
 }
 
@@ -418,8 +415,7 @@ CollectionState& StoreServer::adopt_primary(CollectionId id,
 }
 
 Task<bool> StoreServer::checkpoint_now() {
-  if (!options_.durability.enabled) co_return true;
-  co_return co_await write_checkpoint(epoch_);
+  return write_checkpoint(epoch_);
 }
 
 // ---------------------------------------------------------------------------
@@ -773,11 +769,11 @@ Task<Result<Payload>> StoreServer::handle_membership(NodeId /*from*/,
         metrics_.add(kMetrics.placement_handoff_forward_failures);
       }
     }
-    if (options_.durability.enabled && options_.durability.durable_acks) {
+    if (options_.durability.durable_acks) {
       // Strict commit: hold the ack until the WAL record is fsynced. A
       // crash first means the mutation's durability is unknown — fail the
       // RPC; the caller retries or reports.
-      const bool durable = co_await wal_->wait_durable(wal_index);
+      const bool durable = co_await wal_.wait_durable(wal_index);
       if (!durable || epoch != epoch_) {
         co_return Failure{FailureKind::kNodeCrashed,
                           "mutation lost to crash during commit"};
@@ -900,8 +896,8 @@ Task<Result<Payload>> StoreServer::handle_pull(NodeId /*from*/,
 // OR-Set anti-entropy (src/crdt, DESIGN.md decision 16)
 
 void StoreServer::orset_wal_append(Hosted& entry, const crdt::DotOp& op) {
-  if (!options_.durability.enabled || wal_suspended_) return;
-  last_wal_index_ = wal_->append(
+  if (wal_suspended_) return;
+  last_wal_index_ = wal_.append(
       orset_wal_record(entry.state.id(), op, entry.state.incarnation()));
   arm_checkpoint();
 }
@@ -942,12 +938,11 @@ Task<Result<Payload>> StoreServer::handle_orset_pull(NodeId /*from*/,
 // (DESIGN.md decision 11)
 
 void StoreServer::install_wal_observer(Hosted& entry) {
-  if (!options_.durability.enabled) return;
   CollectionState* state = &entry.state;
   state->set_op_observer([this, state](const CollectionOp& op) {
     if (wal_suspended_) return;  // recovery replay: already on disk
     last_wal_index_ =
-        wal_->append(to_wal_record(state->id(), op, state->incarnation()));
+        wal_.append(to_wal_record(state->id(), op, state->incarnation()));
     arm_checkpoint();
   });
 }
@@ -997,7 +992,7 @@ Task<void> StoreServer::compaction_loop() {
 }
 
 void StoreServer::arm_checkpoint() {
-  if (!options_.durability.enabled || checkpoint_armed_) return;
+  if (checkpoint_armed_) return;
   checkpoint_armed_ = true;
   const std::uint64_t epoch = epoch_;
   checkpoint_timer_ = net_.sim().schedule_cancellable(
@@ -1045,7 +1040,7 @@ Task<bool> StoreServer::write_checkpoint(std::uint64_t epoch) {
     }
     image.collections.push_back(image_of(id, entry.state));
   }
-  const std::uint64_t wal_mark = disk_->log_next_index(kWalFile);
+  const std::uint64_t wal_mark = disk_.log_next_index(kWalFile);
   const SimTime start = net_.sim().now();
   // Engine checkpoints: dirty leaves + root per fragment, superblock
   // published atomically. Each captures its snapshot at or after the WAL
@@ -1067,11 +1062,11 @@ Task<bool> StoreServer::write_checkpoint(std::uint64_t epoch) {
   std::string bytes = wal::encode(image);
   metrics_.record_value(kMetrics.wal_checkpoint_bytes,
                         static_cast<std::int64_t>(bytes.size()));
-  const bool written = co_await disk_->write_file(kCheckpointFile,
-                                                  std::move(bytes));
+  const bool written = co_await disk_.write_file(kCheckpointFile,
+                                                 std::move(bytes));
   if (!written || epoch != epoch_) co_return false;
-  disk_->truncate_log_prefix(kWalFile, wal_mark);
-  wal_->notify_progress();
+  disk_.truncate_log_prefix(kWalFile, wal_mark);
+  wal_.notify_progress();
   metrics_.add(kMetrics.wal_checkpoints);
   metrics_.record(kMetrics.wal_checkpoint, net_.sim().now() - start);
   co_return true;
@@ -1082,7 +1077,6 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
   metrics_.add(kMetrics.server_amnesia_crashes);
   ++epoch_;
   serving_ = false;
-  wiped_ = true;
   checkpoint_timer_.cancel();
   checkpoint_armed_ = false;
   // Queued admission waiters resume and fail their epoch checks; tickets
@@ -1116,11 +1110,10 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
   }
 
   // How many appended-but-unsynced records the crash lottery will decide on.
-  const std::uint64_t next_before =
-      disk_ ? disk_->log_next_index(kWalFile) : 0;
-  if (disk_) disk_->crash();
-  if (wal_) wal_->on_crash();
-  const std::uint64_t next_after = disk_ ? disk_->log_next_index(kWalFile) : 0;
+  const std::uint64_t next_before = disk_.log_next_index(kWalFile);
+  disk_.crash();
+  wal_.on_crash();
+  const std::uint64_t next_after = disk_.log_next_index(kWalFile);
 
   // Wipe volatile state in place (in-flight handlers hold Hosted&; they
   // observe the epoch bump and abandon their work).
@@ -1209,9 +1202,7 @@ void StoreServer::on_crash(Topology::CrashKind kind) {
 
 StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
   RecoveryPlan plan;
-  if (!disk_) return plan;  // durability off: amnesia really loses it all
-
-  if (const auto bytes = disk_->peek_file(kCheckpointFile)) {
+  if (const auto bytes = disk_.peek_file(kCheckpointFile)) {
     plan.checkpoint_bytes = bytes->size();
     if (const auto image = wal::decode_checkpoint(*bytes)) {
       for (const wal::CollectionImage& coll : image->collections) {
@@ -1257,7 +1248,7 @@ StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
 
   // A view into the disk, not a copy: WAL appends are suspended while the
   // image is rebuilt, so the log does not change under the replay.
-  const SimDisk::LogContents log = disk_->peek_log(kWalFile);
+  const SimDisk::LogContents log = disk_.peek_log(kWalFile);
   if (log.torn) ++plan.torn_tails;
   // Replay each fragment's contiguous tail on top of its checkpoint; stop a
   // fragment's replay at the first gap (e.g. records straddling a replica
@@ -1328,31 +1319,28 @@ StoreServer::RecoveryPlan StoreServer::reconstruct_from_disk() {
 
 void StoreServer::on_restart(Topology::CrashKind kind) {
   (void)kind;
-  if (!wiped_) return;  // transient outage: memory intact, nothing to do
+  if (serving_) return;  // transient outage: memory intact, nothing to do
   net_.sim().spawn(recover(epoch_));
 }
 
 Task<void> StoreServer::recover(std::uint64_t epoch) {
   const SimTime start = net_.sim().now();
-  if (disk_) {
-    // The in-memory image was already reconstructed at crash time (so
-    // ground truth stayed observable); what recovery owes the clock is the
-    // durable reads it is notionally doing now.
-    co_await disk_->read_file(kCheckpointFile);
-    if (epoch != epoch_) co_return;  // crashed again mid-recovery
-    co_await disk_->read_log(kWalFile);
+  // The in-memory image was already reconstructed at crash time (so ground
+  // truth stayed observable); what recovery owes the clock is the durable
+  // reads it is notionally doing now.
+  co_await disk_.read_file(kCheckpointFile);
+  if (epoch != epoch_) co_return;  // crashed again mid-recovery
+  co_await disk_.read_log(kWalFile);
+  if (epoch != epoch_) co_return;
+  if (engine_ != nullptr) {
+    // Superblock + root + replay-faulted leaves, charged as one read.
+    co_await engine_->charge_recovery_reads();
     if (epoch != epoch_) co_return;
-    if (engine_ != nullptr) {
-      // Superblock + root + replay-faulted leaves, charged as one read.
-      co_await engine_->charge_recovery_reads();
-      if (epoch != epoch_) co_return;
-    }
-    // Persist the incarnation bump (and fold the replayed tail away) before
-    // the first post-recovery op can escape.
-    const bool ok = co_await write_checkpoint(epoch);
-    if (!ok || epoch != epoch_) co_return;
   }
-  wiped_ = false;
+  // Persist the incarnation bump (and fold the replayed tail away) before
+  // the first post-recovery op can escape.
+  const bool ok = co_await write_checkpoint(epoch);
+  if (!ok || epoch != epoch_) co_return;
   serving_ = true;
   metrics_.add(kMetrics.wal_recoveries);
   metrics_.record(kMetrics.wal_recovery, net_.sim().now() - start);

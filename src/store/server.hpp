@@ -42,14 +42,12 @@ class MutationSink {
 
 /// Per-server durability model (DESIGN.md decision 11): a simulated local
 /// disk holding a write-ahead log of applied membership ops plus periodic
-/// whole-server checkpoints. Object payloads already live "on disk" (the
-/// read/write latencies of StoreServerOptions model that device) and are not
-/// part of this; what the WAL protects is the volatile fragment state an
-/// amnesia crash (Topology::CrashKind::kAmnesia) would otherwise erase.
+/// whole-server checkpoints. Every server has one. Object payloads already
+/// live "on disk" (the read/write latencies of StoreServerOptions model that
+/// device) and are not part of this; what the WAL protects is the volatile
+/// fragment state an amnesia crash (Topology::CrashKind::kAmnesia) would
+/// otherwise erase.
 struct DurabilityOptions {
-  /// Master switch. Off: amnesia crashes lose everything not recoverable
-  /// via anti-entropy.
-  bool enabled = true;
   /// Strict commits: membership mutations ack only once their WAL record is
   /// durable (group commit). Off by default — the historical asynchronous
   /// behaviour, which keeps ack latencies (and every pre-existing baseline)
@@ -213,9 +211,9 @@ class StoreServer {
   CollectionState& adopt_primary(CollectionId id,
                                  const CollectionState& staged);
 
-  /// Writes a checkpoint immediately (true on success; trivially true when
-  /// durability is off). The migration engine calls this on the target so
-  /// the adopted fragment is durable before the source gives up authority.
+  /// Writes a checkpoint immediately (true on success). The migration engine
+  /// calls this on the target so the adopted fragment is durable before the
+  /// source gives up authority.
   Task<bool> checkpoint_now();
 
   /// Asks background daemons (anti-entropy pullers) to exit at their next
@@ -261,9 +259,6 @@ class StoreServer {
   [[nodiscard]] const AdmissionController& admission() const noexcept {
     return admission_;
   }
-
-  /// The simulated durable device; nullptr when durability is disabled.
-  [[nodiscard]] SimDisk* disk() noexcept { return disk_.get(); }
 
   /// The block storage engine; nullptr unless durability.block.enabled.
   [[nodiscard]] block::BlockEngine* block_engine() noexcept {
@@ -399,8 +394,8 @@ class StoreServer {
   /// One orset.pull from an OR-Set peer: applies its dot ops past this
   /// host's cursor on it, or joins its full state once the cursor expired.
   Task<void> pull_dots(Hosted& entry, NodeId peer);
-  /// WAL-appends one applied dot op and arms the checkpoint (no-op when
-  /// durability is off or during recovery replay).
+  /// WAL-appends one applied dot op and arms the checkpoint (no-op during
+  /// recovery replay).
   void orset_wal_append(Hosted& entry, const crdt::DotOp& op);
   /// Applies one local membership write in the fragment's mode (dots minted
   /// or killed and logged for OR-Set, a sequenced op otherwise); true if
@@ -408,8 +403,7 @@ class StoreServer {
   bool apply_local(Hosted& entry, bool is_add, ObjectRef ref);
   void release_freeze(Hosted& entry);
 
-  /// Hooks the fragment's op log into the WAL (no-op when durability is
-  /// off).
+  /// Hooks the fragment's op log into the WAL.
   void install_wal_observer(Hosted& entry);
   /// Routes the fragment's members through the block engine (no-op unless
   /// the engine is on or the fragment is OR-Set-hosted).
@@ -465,8 +459,8 @@ class StoreServer {
   MutationSink* sink_ = nullptr;
 
   // Durability (DESIGN.md decision 11).
-  std::unique_ptr<SimDisk> disk_;
-  std::unique_ptr<wal::WalWriter> wal_;
+  SimDisk disk_;
+  wal::WalWriter wal_;
   // Block storage engine (DESIGN.md decision 17); null unless enabled.
   std::unique_ptr<block::BlockEngine> engine_;
   /// False from an amnesia crash until recovery completes; handlers refuse.
@@ -474,8 +468,6 @@ class StoreServer {
   /// Bumped on every amnesia wipe; coroutines suspended across the wipe
   /// compare epochs and abandon their work instead of touching fresh state.
   std::uint64_t epoch_ = 0;
-  /// True between an amnesia crash and the end of recovery.
-  bool wiped_ = false;
   /// Set during recovery replay so re-logged ops do not re-append.
   bool wal_suspended_ = false;
   bool checkpoint_armed_ = false;

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cstring>
 
 namespace weakset::wal {
 namespace {
@@ -17,81 +16,6 @@ struct WalMetrics {
   obs::HistogramId fsync{"wal.fsync"};
 };
 const WalMetrics kMetrics{};
-
-/// On-disk integers are little-endian whatever the host.
-std::uint64_t little_endian(std::uint64_t v) {
-  if constexpr (std::endian::native == std::endian::big) {
-    return __builtin_bswap64(v);
-  }
-  return v;
-}
-
-/// One 8-byte copy. Encoders reserve `out` to its final size first, so no
-/// append reallocates.
-void put_u64(std::string& out, std::uint64_t v) {
-  v = little_endian(v);
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, bytes.data() + at, sizeof v);
-  return little_endian(v);
-}
-
-void seal(std::string& out) { put_u64(out, checksum(out)); }
-
-/// Checks and strips the trailing checksum; nullopt on mismatch.
-std::optional<std::string_view> unseal(std::string_view bytes) {
-  if (bytes.size() < 8) return std::nullopt;
-  const std::string_view payload = bytes.substr(0, bytes.size() - 8);
-  if (get_u64(bytes, bytes.size() - 8) != checksum(payload)) {
-    return std::nullopt;
-  }
-  return payload;
-}
-
-/// Bounds-checked cursor over a checksum-verified checkpoint payload.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::size_t left() const { return bytes_.size() - at_; }
-
-  /// The next word; the caller has checked that left() covers it.
-  std::uint64_t u64() {
-    const std::uint64_t v = get_u64(bytes_, at_);
-    at_ += 8;
-    return v;
-  }
-
-  /// A count of items `item_bytes` long each; nullopt if the count is
-  /// missing or the bytes left cannot hold that many items. Checked by
-  /// division, so a count read from disk can neither overflow a multiply
-  /// nor size an allocation beyond the payload.
-  std::optional<std::size_t> count(std::size_t item_bytes) {
-    if (left() < 8) return std::nullopt;
-    const std::uint64_t n = u64();
-    if (n > left() / item_bytes) return std::nullopt;
-    return static_cast<std::size_t>(n);
-  }
-
-  /// A counted run of (u64, u64) pairs; false on a bad count.
-  bool pairs(std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
-    const auto n = count(16);
-    if (!n) return false;
-    out.reserve(*n);
-    for (std::size_t i = 0; i < *n; ++i) {
-      const std::uint64_t first = u64();
-      out.emplace_back(first, u64());
-    }
-    return true;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t at_ = 0;
-};
 
 void put_pairs(std::string& out,
                const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
@@ -123,6 +47,15 @@ std::size_t encoded_size(const CheckpointImage& image) {
 }
 
 }  // namespace
+
+std::optional<std::string_view> unseal(std::string_view bytes) {
+  if (bytes.size() < 8) return std::nullopt;
+  const std::string_view payload = bytes.substr(0, bytes.size() - 8);
+  if (get_u64(bytes, bytes.size() - 8) != checksum(payload)) {
+    return std::nullopt;
+  }
+  return payload;
+}
 
 std::uint64_t checksum(std::string_view bytes) {
   // Both steps are x -> (x ^ input) * odd constant, the word step then

@@ -7,9 +7,14 @@
 // ids, so weakset_wal depends only on sim/obs/util and the store layer does
 // the CollectionOp <-> WalRecord conversion. Every encoded blob ends with a
 // word-at-a-time checksum (see checksum()); decode returns nullopt on any
-// mismatch, which is how a torn tail manifests to recovery.
+// mismatch, which is how a torn tail manifests to recovery. The block
+// engine's pages and superblocks (src/block) use the same integer codec,
+// seal and Reader.
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,11 +60,117 @@ struct WalRecord {
   std::uint64_t origin = 0;
 };
 
-/// Checksum sealing every WAL record, checkpoint and block: folds eight
-/// bytes per step, then the remaining bytes one at a time. Every step is a
-/// bijection of the running sum, and of its input word for a fixed sum, so
-/// changing any single word or byte always changes the result.
+// -- Integer codec shared by every on-disk structure ------------------------
+
+/// On-disk integers are little-endian whatever the host.
+[[nodiscard]] inline std::uint32_t little_endian(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap32(v);
+  }
+  return v;
+}
+[[nodiscard]] inline std::uint64_t little_endian(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap64(v);
+  }
+  return v;
+}
+
+/// One copy per word. Encoders reserve `out` to its final size first, so no
+/// append reallocates.
+inline void put_u32(std::string& out, std::uint32_t v) {
+  v = little_endian(v);
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+inline void put_u64(std::string& out, std::uint64_t v) {
+  v = little_endian(v);
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// The word at `at`; the caller has checked that the bytes hold it.
+[[nodiscard]] inline std::uint32_t get_u32(std::string_view bytes,
+                                           std::size_t at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return little_endian(v);
+}
+[[nodiscard]] inline std::uint64_t get_u64(std::string_view bytes,
+                                           std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return little_endian(v);
+}
+
+/// Checksum sealing every WAL record, checkpoint, block and superblock: folds
+/// eight bytes per step, then the remaining bytes one at a time. Every step
+/// is a bijection of the running sum, and of its input word for a fixed sum,
+/// so changing any single word or byte always changes the result.
 [[nodiscard]] std::uint64_t checksum(std::string_view bytes);
+
+/// Appends the checksum of everything in `out` so far.
+inline void seal(std::string& out) {
+  put_u64(out, checksum(out));
+}
+
+/// Checks and strips the trailing checksum; nullopt on mismatch.
+[[nodiscard]] std::optional<std::string_view> unseal(std::string_view bytes);
+
+/// Bounds-checked cursor over a checksum-verified payload.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
+
+  [[nodiscard]] std::size_t left() const { return bytes_.size() - at_; }
+
+  /// The next word; the caller has checked that left() covers it.
+  std::uint32_t u32() {
+    const std::uint32_t v = get_u32(bytes_, at_);
+    at_ += 4;
+    return v;
+  }
+  std::uint64_t u64() {
+    const std::uint64_t v = get_u64(bytes_, at_);
+    at_ += 8;
+    return v;
+  }
+
+  /// A u64 (count) or u32 (count32) count of items `item_bytes` long each;
+  /// nullopt if the count is missing or the bytes left cannot hold that many
+  /// items. Checked by division, so a count read from disk can neither
+  /// overflow a multiply nor size an allocation beyond the payload.
+  std::optional<std::size_t> count(std::size_t item_bytes) {
+    if (left() < 8) return std::nullopt;
+    return fitting(u64(), item_bytes);
+  }
+  std::optional<std::size_t> count32(std::size_t item_bytes) {
+    if (left() < 4) return std::nullopt;
+    return fitting(u32(), item_bytes);
+  }
+
+  /// A counted run of (u64, u64) pairs; false on a bad count.
+  bool pairs(std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
+    const auto n = count(16);
+    if (!n) return false;
+    out.reserve(*n);
+    for (std::size_t i = 0; i < *n; ++i) {
+      const std::uint64_t first = u64();
+      out.emplace_back(first, u64());
+    }
+    return true;
+  }
+
+ private:
+  [[nodiscard]] std::optional<std::size_t> fitting(
+      std::uint64_t n, std::size_t item_bytes) const {
+    if (n > left() / item_bytes) return std::nullopt;
+    return static_cast<std::size_t>(n);
+  }
+
+  std::string_view bytes_;
+  std::size_t at_ = 0;
+};
+
+// -- WAL records and checkpoints ---------------------------------------------
 
 [[nodiscard]] std::string encode(const WalRecord& rec);
 /// nullopt on short, trailing-garbage, or checksum-failing input.

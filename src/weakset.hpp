@@ -32,7 +32,6 @@
 
 // Core: weak sets
 #include "core/caching_view.hpp"  // IWYU pragma: export
-#include "core/hoard_view.hpp"    // IWYU pragma: export
 #include "core/iterator.hpp"      // IWYU pragma: export
 #include "core/local_view.hpp"    // IWYU pragma: export
 #include "core/repo_view.hpp"     // IWYU pragma: export

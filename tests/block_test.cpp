@@ -193,6 +193,66 @@ TEST(BlockManager, TornCrashExtentNeverReadsBackCorrupt) {
   EXPECT_GT(survived_seen, 0);
 }
 
+// --- Page codec -------------------------------------------------------------
+
+/// The `width` low bytes of `v`, little-endian, as the codec lays out every
+/// integer.
+std::string le(std::uint64_t v, int width) {
+  std::string out;
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+  return out;
+}
+
+TEST(BlockPageCodec, SealedPagesWithOversizedCountsReadAsUnreadable) {
+  // Each page goes through a sealed extent and back, so its checksum holds
+  // and only the page codec can reject it. A u32 count of 2^32-1 members
+  // would reserve 64 GiB; the decoder must refuse it from the bytes left.
+  Simulator sim;
+  SimDisk disk{sim, disk_options()};
+  BlockManager mgr{disk, "blocks/t", 128};
+  const auto through_disk = [&](const std::string& payload) {
+    const Extent e = mgr.alloc_extent(
+        mgr.blocks_needed(static_cast<std::uint64_t>(payload.size())));
+    EXPECT_TRUE(run_task(sim, mgr.write(e, payload)));
+    EXPECT_TRUE(run_task(sim, mgr.sync()));
+    const auto back = mgr.peek(e);
+    EXPECT_EQ(back, payload);
+    return back.value_or(std::string{});
+  };
+  const std::uint64_t huge = 0xffffffffu;
+  const std::string member = le(7, 8) + le(1, 8);
+  const std::string extent = le(3, 8) + le(2, 4);
+  const std::vector<std::pair<const char*, std::string>> bad_leaves = {
+      {"2^32-1 members", le(huge, 4) + member},
+      {"members past the end", le(2, 4) + member},
+      {"count cut short", le(1, 2)},
+      {"trailing byte", le(1, 4) + member + "x"},
+  };
+  for (const auto& [what, payload] : bad_leaves) {
+    EXPECT_FALSE(decode_leaf(through_disk(payload))) << what;
+  }
+  const std::vector<std::pair<const char*, std::string>> bad_roots = {
+      {"2^32-1 buckets", le(huge, 4) + extent},
+      {"buckets past the end", le(2, 4) + extent},
+      {"no buckets", le(0, 4)},
+      {"trailing byte", le(1, 4) + extent + "x"},
+  };
+  for (const auto& [what, payload] : bad_roots) {
+    EXPECT_FALSE(decode_root(through_disk(payload))) << what;
+  }
+
+  // The same framing with honest counts decodes, and is what encoding lays
+  // out.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> members{{7, 1}};
+  EXPECT_EQ(encode_leaf(members), le(1, 4) + member);
+  EXPECT_EQ(decode_leaf(through_disk(le(1, 4) + member)), members);
+  const std::vector<Extent> buckets{Extent{3, 2}};
+  EXPECT_EQ(encode_root(buckets), le(1, 4) + extent);
+  EXPECT_EQ(decode_root(through_disk(le(1, 4) + extent)), buckets);
+}
+
 // --- BlockCache -------------------------------------------------------------
 
 TEST(BlockCache, LruOrderPinsAndCharges) {

@@ -6,7 +6,7 @@
 #include <set>
 #include <string>
 
-#include "core/hoard_view.hpp"
+#include "core/caching_view.hpp"
 #include "core/weak_set.hpp"
 #include "spec/repo_truth.hpp"
 #include "spec/specs.hpp"
@@ -49,9 +49,9 @@ class HoardTest : public ::testing::Test {
 TEST_F(HoardTest, HoardCapturesMembershipAndPayloads) {
   RepositoryClient client{repo, laptop};
   RepoSetView inner{client, coll};
-  HoardingSetView view{inner};
+  CachingSetView view{inner};
   const auto hoarded =
-      run_task(sim, [](HoardingSetView& v) -> Task<Result<void>> {
+      run_task(sim, [](CachingSetView& v) -> Task<Result<void>> {
         co_return co_await v.hoard();
       }(view));
   ASSERT_TRUE(hoarded.has_value());
@@ -64,8 +64,8 @@ TEST_F(HoardTest, OfflineIterationCompletesFromHoard) {
   copts.rpc_timeout = Duration::millis(300);
   RepositoryClient client{repo, laptop, copts};
   RepoSetView inner{client, coll};
-  HoardingSetView view{inner};
-  (void)run_task(sim, [](HoardingSetView& v) -> Task<Result<void>> {
+  CachingSetView view{inner};
+  (void)run_task(sim, [](CachingSetView& v) -> Task<Result<void>> {
     co_return co_await v.hoard();
   }(view));
 
@@ -76,7 +76,7 @@ TEST_F(HoardTest, OfflineIterationCompletesFromHoard) {
   EXPECT_TRUE(result.finished());
   EXPECT_EQ(result.count(), 5u);
   // One failed live read (the RPC timeout) then pure local serving.
-  EXPECT_GE(view.stats().stale_membership_serves, 1u);
+  EXPECT_GE(view.hoard_stats().stale_membership_serves, 1u);
   // Offline work costs no network time beyond the failed probe(s).
   EXPECT_LT(sim.now() - start, Duration::seconds(3));
   std::set<std::string> contents;
@@ -89,7 +89,7 @@ TEST_F(HoardTest, WithoutHoardDisconnectionBlocks) {
   copts.rpc_timeout = Duration::millis(300);
   RepositoryClient client{repo, laptop, copts};
   RepoSetView inner{client, coll};
-  HoardingSetView view{inner};  // never hoarded
+  CachingSetView view{inner};  // never hoarded
 
   disconnect();
   IteratorOptions options;
@@ -110,8 +110,8 @@ TEST_F(HoardTest, OfflineRunMissesMutationsAndTheSpecLayerMeasuresIt) {
   copts.rpc_timeout = Duration::millis(300);
   RepositoryClient client{repo, laptop, copts};
   RepoSetView inner{client, coll};
-  HoardingSetView view{inner};
-  (void)run_task(sim, [](HoardingSetView& v) -> Task<Result<void>> {
+  CachingSetView view{inner};
+  (void)run_task(sim, [](CachingSetView& v) -> Task<Result<void>> {
     co_return co_await v.hoard();
   }(view));
 
@@ -148,8 +148,8 @@ TEST_F(HoardTest, ReconnectionResumesLiveReads) {
   RepositoryClient client{repo, laptop,
                           ClientOptions{Duration::millis(300), {}}};
   RepoSetView inner{client, coll};
-  HoardingSetView view{inner};
-  (void)run_task(sim, [](HoardingSetView& v) -> Task<Result<void>> {
+  CachingSetView view{inner};
+  (void)run_task(sim, [](CachingSetView& v) -> Task<Result<void>> {
     co_return co_await v.hoard();
   }(view));
   disconnect();
@@ -161,7 +161,7 @@ TEST_F(HoardTest, ReconnectionResumesLiveReads) {
   const ObjectRef fresh = repo.create_object(server, "back-online");
   ASSERT_TRUE(run_task(sim, desk.add(coll, fresh)).has_value());
   const auto members = run_task(
-      sim, [](HoardingSetView& v) -> Task<Result<std::vector<ObjectRef>>> {
+      sim, [](CachingSetView& v) -> Task<Result<std::vector<ObjectRef>>> {
         co_return co_await v.read_members();
       }(view));
   ASSERT_TRUE(members.has_value());

@@ -46,11 +46,18 @@ class MobileTest : public ::testing::Test {
     return {members.value().begin(), members.value().end()};
   }
 
+  /// Calls of `method` the network has carried, failed ones included.
+  std::uint64_t rpcs(const std::string& method) const {
+    return metrics.counter("rpc." + method + ".ok") +
+           metrics.counter("rpc." + method + ".failed");
+  }
+
   Simulator sim;
   Topology topo;
   NodeId laptop, server, desk;
   std::vector<ObjectRef> objs;
-  RpcNetwork net{sim, topo, Rng{81}};
+  obs::MetricsRegistry metrics;
+  RpcNetwork net{sim, topo, Rng{81}, RpcOptions{.metrics = &metrics}};
   Repository repo{net};
   CollectionId coll;
 };
@@ -71,6 +78,38 @@ TEST_F(MobileTest, ConnectedMutationsGoStraightThrough) {
   EXPECT_EQ(mobile.pending_ops(), 0u);
   const auto* state = repo.server_at(server)->collection(coll);
   EXPECT_TRUE(state->contains(fresh));
+}
+
+TEST_F(MobileTest, ConnectedDrainBatchesFetchesAndReportsDeltaReads) {
+  // Nine more members, homed alternately on the laptop and the server. A
+  // window-8 drain refills twice (8 refs, then the last 4), each refill
+  // spanning both homes: one store.fetch_batch per home per refill, four in
+  // all, and not one store.fetch.
+  for (int i = 3; i < 12; ++i) {
+    objs.push_back(repo.create_object(i % 2 == 0 ? server : laptop,
+                                      "doc" + std::to_string(i)));
+    repo.seed_member(coll, objs.back());
+  }
+  RepositoryClient client{repo, laptop, snappy()};
+  MobileSetClient mobile{client, coll};
+  IteratorOptions options;
+  options.prefetch_window = 8;
+  auto first =
+      make_elements_iterator(mobile, Semantics::kFig1Immutable, options);
+  const DrainResult result = run_task(sim, drain(*first));
+  EXPECT_TRUE(result.finished());
+  EXPECT_EQ(result.count(), 12u);
+  EXPECT_EQ(first->stats().prefetch_batches, 2u);
+  EXPECT_EQ(rpcs("store.fetch_batch"), 4u);
+  EXPECT_EQ(rpcs("store.fetch"), 0u);
+
+  // The repository client reads the unchanged fragment as a delta the
+  // second time, and the mobile client reports it as one.
+  auto second =
+      make_elements_iterator(mobile, Semantics::kFig1Immutable, options);
+  EXPECT_TRUE(run_task(sim, drain(*second)).finished());
+  EXPECT_EQ(second->stats().membership_full_fragments, 0u);
+  EXPECT_EQ(second->stats().membership_delta_fragments, 1u);
 }
 
 TEST_F(MobileTest, DisconnectedWritesAreLocallyVisibleAndQueued) {

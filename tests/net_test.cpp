@@ -182,24 +182,6 @@ TEST_F(RpcTest, PartitionDetectedQuickly) {
   EXPECT_EQ(result.error().kind, FailureKind::kPartitioned);
 }
 
-TEST_F(RpcTest, WithoutFastFailCallerTimesOut) {
-  RpcOptions slow;
-  slow.fast_fail_unreachable = false;
-  slow.default_timeout = Duration::millis(500);
-  RpcNetwork net2{sim, topo, Rng{1}, slow};
-  net2.register_handler(server, "echo",
-                        [](NodeId, Payload) -> Task<Result<Payload>> {
-                          co_return Payload{std::string{"never"}};
-                        });
-  topo.crash(server);
-  const auto result =
-      run_task(sim, net2.call_typed<std::string>(client, server, "echo",
-                                                 EchoRequest{"x"}));
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error().kind, FailureKind::kTimeout);
-  EXPECT_GE(sim.now() - SimTime::zero(), Duration::millis(500));
-}
-
 TEST_F(RpcTest, CrashDuringFlightLosesRequest) {
   // Crash the server 5ms in: the request (10ms path) is still in flight.
   sim.schedule(Duration::millis(5), [this] { topo.crash(server); });

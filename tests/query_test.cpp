@@ -104,11 +104,18 @@ class QueryTest : public ::testing::Test {
     sim.run();  // drain daemon wakeups so coroutine frames unwind (no leaks)
   }
 
+  /// Calls of `method` the network has carried, failed ones included.
+  std::uint64_t rpcs(const std::string& method) const {
+    return metrics.counter("rpc." + method + ".ok") +
+           metrics.counter("rpc." + method + ".failed");
+  }
+
   Simulator sim;
   Topology topo;
   NodeId client_node;
   std::vector<NodeId> archives;
-  RpcNetwork net{sim, topo, Rng{77}};
+  obs::MetricsRegistry metrics;
+  RpcNetwork net{sim, topo, Rng{77}, RpcOptions{.metrics = &metrics}};
   Repository repo{net};
   DistFileSystem fs{repo};
   QueryService service{repo};
@@ -138,6 +145,29 @@ TEST_F(QueryTest, IteratingAQueryDeliversPayloads) {
   }
   EXPECT_EQ(names, (std::set<std::string>{"paper-a1", "paper-a2", "paper-a3",
                                           "paper-b1"}));
+}
+
+TEST_F(QueryTest, PrefetchWindowBatchesEachRefillByHome) {
+  // Four matches on each of three archives; the scan lists them archive by
+  // archive. Window 8's first refill takes archives 0 and 1, and once it has
+  // half-drained the second takes archive 2: one store.fetch_batch per home
+  // per refill, three in all, and not one store.fetch.
+  for (int i = 0; i < 12; ++i) {
+    fs.create_unlinked_file(archives[i % 3], "batch-" + std::to_string(i),
+                            "body");
+  }
+  RepositoryClient client{repo, client_node};
+  QuerySetView query{client, PredicateSpec::name_prefix("batch-"), archives};
+  IteratorOptions options;
+  options.prefetch_window = 8;
+  auto iterator =
+      make_elements_iterator(query, Semantics::kFig1Immutable, options);
+  const DrainResult result = run_task(sim, drain(*iterator));
+  EXPECT_TRUE(result.finished());
+  EXPECT_EQ(result.count(), 12u);
+  EXPECT_EQ(iterator->stats().prefetch_batches, 2u);
+  EXPECT_EQ(rpcs("store.fetch_batch"), 3u);
+  EXPECT_EQ(rpcs("store.fetch"), 0u);
 }
 
 TEST_F(QueryTest, BestEffortSkipsUnreachableArchive) {
