@@ -61,16 +61,18 @@ Task<Result<msg::DeltaReply>> RepositoryClient::read_fragment(
     CollectionId id, std::size_t fragment) {
   for (int attempt = 0;; ++attempt) {
     const FragmentMeta& frag = resolve(id).fragments().at(fragment);
+    Result<msg::DeltaReply> reply = Failure{};
     if (options_.read_policy == ReadPolicy::kQuorum) {
-      co_return co_await read_fragment_quorum(id, frag);
+      reply = co_await read_fragment_quorum(id, frag);
+    } else {
+      const auto host = pick_read_host(frag);
+      if (!host) {
+        co_return Failure{FailureKind::kPartitioned,
+                          "no reachable host for fragment"};
+      }
+      reply = co_await call<msg::DeltaReply>(*host, methods_.snapshot,
+                                             msg::SnapshotRequest{id});
     }
-    const auto host = pick_read_host(frag);
-    if (!host) {
-      co_return Failure{FailureKind::kPartitioned,
-                        "no reachable host for fragment"};
-    }
-    auto reply = co_await call<msg::DeltaReply>(*host, methods_.snapshot,
-                                                msg::SnapshotRequest{id});
     if (reply) co_return std::move(reply).value();
     Failure failure = std::move(reply).error();
     if (failure.kind == FailureKind::kWrongEpoch && attempt == 0 &&
@@ -116,7 +118,9 @@ Task<void> snapshot_into(
 }
 
 /// Quorum fragment read: scatter to `hosts`, gather the first `needed`
-/// successful replies, return the freshest (highest version).
+/// successful replies, return the freshest (highest version). A quorum that
+/// falls short with a host answering kWrongEpoch reports that failure (its
+/// detail carries the host's epoch), so the caller heals its directory.
 Task<Result<msg::DeltaReply>> quorum_snapshot(
     RpcNetwork& net, NodeId from, std::vector<NodeId> hosts, MethodId method,
     CollectionId id, std::size_t needed, std::optional<Duration> timeout) {
@@ -130,11 +134,17 @@ Task<Result<msg::DeltaReply>> quorum_snapshot(
   }
 
   std::optional<msg::DeltaReply> freshest;
+  std::optional<Failure> wrong_epoch;
   std::size_t successes = 0;
   for (std::size_t answered = 0; answered < hosts.size(); ++answered) {
     std::optional<Result<msg::DeltaReply>> reply = co_await arrivals->pop();
     if (!reply) break;  // cannot happen: queue is never closed
-    if (!reply->has_value()) continue;
+    if (!reply->has_value()) {
+      if (!wrong_epoch && reply->error().kind == FailureKind::kWrongEpoch) {
+        wrong_epoch = std::move(*reply).error();
+      }
+      continue;
+    }
     ++successes;
     if (!freshest || reply->value().version() > freshest->version()) {
       freshest = std::move(*reply).value();
@@ -142,6 +152,7 @@ Task<Result<msg::DeltaReply>> quorum_snapshot(
     if (successes >= needed) break;
   }
   if (successes < needed) {
+    if (wrong_epoch) co_return std::move(*wrong_epoch);
     co_return Failure{FailureKind::kUnreachable,
                       "quorum not reached: " + std::to_string(successes) +
                           "/" + std::to_string(needed)};
