@@ -28,6 +28,8 @@ constexpr std::uint64_t kBucketSeed = 0x77654b53u;  // "SKew"
 /// Superblock bytes before its free-range count: the magic, the collection,
 /// the proto counters and the root and allocator fields.
 constexpr std::size_t kSuperFields = 92;
+/// Live-extent relocations per collection per compaction round.
+constexpr std::uint32_t kCompactionMaxMoves = 8;
 
 using wal::put_u32;
 using wal::put_u64;
@@ -487,7 +489,7 @@ Task<std::uint32_t> BlockEngine::compact_round(std::uint64_t id) {
   const std::uint64_t gen = wipe_generation_;
   Coll& c = coll(id);
   std::uint32_t moves = 0;
-  while (moves < options_.compaction_max_moves) {
+  while (moves < kCompactionMaxMoves) {
     if (c.mgr.file_blocks() < options_.compaction_min_blocks ||
         c.mgr.fragmentation() < options_.fragmentation_threshold) {
       break;

@@ -63,8 +63,6 @@ struct BlockStorageOptions {
   double fragmentation_threshold = 0.35;
   /// Files smaller than this many blocks are never compacted.
   std::uint64_t compaction_min_blocks = 64;
-  /// Live-extent relocations per collection per compaction round.
-  std::uint32_t compaction_max_moves = 8;
 };
 
 /// The per-collection protocol counters riding in the superblock — what the
@@ -137,7 +135,7 @@ class BlockEngine {
   /// interrupted — the previous root stays live.
   Task<bool> checkpoint(std::uint64_t id, const ProtoState& proto);
 
-  /// One background compaction round: relocates up to compaction_max_moves
+  /// One background compaction round: relocates up to kCompactionMaxMoves
   /// live extents downward when fragmentation exceeds the threshold.
   /// Returns the number of moves (the caller arms a checkpoint when > 0).
   Task<std::uint32_t> compact_round(std::uint64_t id);

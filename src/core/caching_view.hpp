@@ -9,9 +9,9 @@
 // the availability nuance of the dynamic-set prefetch buffer: iterators
 // over a caching view keep yielding cached members through failures.
 //
-// The price is currency: a hit may serve an old version (bounded by the
-// cache TTL). That trade is exactly the paper's "users are usually willing
-// to tolerate some inconsistency for a gain in performance".
+// The price is currency: a hit may serve an old version, for as long as the
+// entry stays cached. That trade is exactly the paper's "users are usually
+// willing to tolerate some inconsistency for a gain in performance".
 //
 // Hoarding is the same cache put to work for disconnected operation. The
 // paper's environment includes "(possibly mobile) workstations" where
@@ -41,18 +41,25 @@ struct HoardStats {
 class CachingSetView final : public SetView {
  public:
   CachingSetView(SetView& inner, CacheOptions options = {})
-      : inner_(inner), sim_(inner.sim()), cache_(options) {}
+      : inner_(inner), cache_(options) {}
 
-  /// While connected: reads the membership and fetches every member into
-  /// the cache. Fails if the membership read fails; unreachable members are
-  /// skipped (they simply won't be available offline).
+  /// While connected: reads the membership and fetches every member not
+  /// yet cached into the cache, in one fetch_many (one batch per home).
+  /// Fails if the membership read fails; unreachable members are skipped
+  /// (they simply won't be available offline).
   Task<Result<void>> hoard() {
     Result<std::vector<ObjectRef>> members = co_await inner_.read_members();
     if (!members) co_return std::move(members).error();
+    std::vector<ObjectRef> misses;
     for (const ObjectRef ref : members.value()) {
-      if (cache_.contains(ref, now())) continue;
-      Result<VersionedValue> value = co_await inner_.fetch(ref);
-      if (value) cache_.put(ref, std::move(value).value(), now());
+      if (!cache_.contains(ref)) misses.push_back(ref);
+    }
+    if (!misses.empty()) {
+      std::vector<Result<VersionedValue>> fetched =
+          co_await inner_.fetch_many(misses);
+      for (std::size_t i = 0; i < fetched.size(); ++i) {
+        if (fetched[i]) cache_.put(misses[i], std::move(fetched[i]).value());
+      }
     }
     hoarded_membership_ = std::move(members).value();
     ++hoard_stats_.hoards;
@@ -92,19 +99,19 @@ class CachingSetView final : public SetView {
 
   [[nodiscard]] bool is_reachable(ObjectRef ref) const override {
     // A cached copy is accessible regardless of the network.
-    return cache_.contains(ref, now()) || inner_.is_reachable(ref);
+    return cache_.contains(ref) || inner_.is_reachable(ref);
   }
 
   [[nodiscard]] std::optional<Duration> distance(
       ObjectRef ref) const override {
-    if (cache_.contains(ref, now())) return Duration::zero();  // local
+    if (cache_.contains(ref)) return Duration::zero();  // local
     return inner_.distance(ref);
   }
 
   Task<Result<VersionedValue>> fetch(ObjectRef ref) override {
-    if (auto hit = cache_.get(ref, now())) co_return std::move(*hit);
+    if (auto hit = cache_.get(ref)) co_return std::move(*hit);
     Result<VersionedValue> value = co_await inner_.fetch(ref);
-    if (value) cache_.put(ref, value.value(), now());
+    if (value) cache_.put(ref, value.value());
     co_return value;
   }
 
@@ -117,7 +124,7 @@ class CachingSetView final : public SetView {
     std::vector<ObjectRef> misses;
     std::vector<std::size_t> miss_index;
     for (std::size_t i = 0; i < refs.size(); ++i) {
-      if (auto hit = cache_.get(refs[i], now())) {
+      if (auto hit = cache_.get(refs[i])) {
         slots[i] = std::move(*hit);
       } else {
         misses.push_back(refs[i]);
@@ -128,7 +135,7 @@ class CachingSetView final : public SetView {
       auto fetched = co_await inner_.fetch_many(std::move(misses));
       for (std::size_t j = 0; j < fetched.size(); ++j) {
         if (fetched[j]) {
-          cache_.put(refs[miss_index[j]], fetched[j].value(), now());
+          cache_.put(refs[miss_index[j]], fetched[j].value());
         }
         slots[miss_index[j]] = std::move(fetched[j]);
       }
@@ -150,11 +157,8 @@ class CachingSetView final : public SetView {
   }
 
  private:
-  [[nodiscard]] SimTime now() const { return sim_.now(); }
-
   SetView& inner_;
-  Simulator& sim_;
-  mutable ObjectCache cache_;
+  ObjectCache cache_;
   std::optional<std::vector<ObjectRef>> hoarded_membership_;
   HoardStats hoard_stats_;
   bool served_from_hoard_ = false;

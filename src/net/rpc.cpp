@@ -17,6 +17,14 @@ struct RpcMetrics {
 };
 const RpcMetrics kMetrics{};
 
+/// Cost of a same-node "RPC" (kernel round trip, not network).
+constexpr Duration kLocalLatency = Duration::micros(20);
+/// Per-message multiplicative jitter: delivery takes latency * U[1, 1+j].
+constexpr double kJitter = 0.2;
+/// How long the transport takes to signal an unreachable destination
+/// (lower layers signal the failure, per the paper).
+constexpr Duration kDetectionDelay = Duration::millis(2);
+
 }  // namespace
 
 RpcNetwork::MethodInfo::MethodInfo(std::string_view method)
@@ -80,11 +88,11 @@ std::optional<Duration> RpcNetwork::base_latency(NodeId from, NodeId to) {
 
 std::optional<Duration> RpcNetwork::delivery_latency(NodeId from, NodeId to) {
   if (from == to) {
-    return options_.local_latency;
+    return kLocalLatency;
   }
   const auto base = base_latency(from, to);
   if (!base) return std::nullopt;
-  const double factor = 1.0 + options_.jitter * rng_.uniform_double();
+  const double factor = 1.0 + kJitter * rng_.uniform_double();
   return Duration::nanos(static_cast<std::int64_t>(
       static_cast<double>(base->count_nanos()) * factor));
 }
@@ -109,7 +117,7 @@ Task<Result<Payload>> RpcNetwork::call(NodeId from, NodeId to, MethodId method,
   if (!request_latency) {
     // No live path: failures are detectable (the paper's assumption), so
     // the transport signals this quickly.
-    sim_.schedule(options_.detection_delay, [this, to, reply]() mutable {
+    sim_.schedule(kDetectionDelay, [this, to, reply]() mutable {
       const auto kind = topology_.is_up(to) ? FailureKind::kPartitioned
                                             : FailureKind::kNodeCrashed;
       reply.try_set(Failure{kind, "destination unreachable"});

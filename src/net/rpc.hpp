@@ -48,17 +48,8 @@
 
 namespace weakset {
 
-/// Tuning knobs for the RPC substrate.
+/// Construction options of an RpcNetwork.
 struct RpcOptions {
-  /// Deadline for a call when none is given explicitly.
-  Duration default_timeout = Duration::seconds(2);
-  /// Cost of a same-node "RPC" (kernel round trip, not network).
-  Duration local_latency = Duration::micros(20);
-  /// Per-message multiplicative jitter: delivery takes latency * U[1, 1+j].
-  double jitter = 0.2;
-  /// How long the transport takes to signal an unreachable destination
-  /// (lower layers signal the failure, per the paper).
-  Duration detection_delay = Duration::millis(2);
   /// Telemetry sink: per-op latency histograms, outcome counters, and call
   /// spans land here. nullptr = the process-global registry (obs::global()).
   obs::MetricsRegistry* metrics = nullptr;
@@ -112,7 +103,6 @@ class RpcNetwork {
       : sim_(sim),
         topology_(topology),
         rng_(rng),
-        options_(options),
         metrics_(obs::sink(options.metrics)) {}
   RpcNetwork(const RpcNetwork&) = delete;
   RpcNetwork& operator=(const RpcNetwork&) = delete;
@@ -139,16 +129,17 @@ class RpcNetwork {
   [[nodiscard]] const Handler* find_handler(NodeId node,
                                             MethodId method) const;
 
+  /// Deadline for a call when none is given explicitly.
+  static constexpr Duration kDefaultTimeout = Duration::seconds(2);
+
   /// Calls `method` on `to` from `from` with the default timeout.
   Task<Result<Payload>> call(NodeId from, NodeId to, MethodId method,
                              Payload request) {
-    return call(from, to, method, std::move(request),
-                options_.default_timeout);
+    return call(from, to, method, std::move(request), kDefaultTimeout);
   }
   Task<Result<Payload>> call(NodeId from, NodeId to, std::string_view method,
                              Payload request) {
-    return call(from, to, intern(method), std::move(request),
-                options_.default_timeout);
+    return call(from, to, intern(method), std::move(request), kDefaultTimeout);
   }
 
   /// Calls `method` on `to` from `from`, failing with kTimeout after
@@ -173,7 +164,7 @@ class RpcNetwork {
                                 Req request,
                                 std::optional<Duration> timeout = {}) {
     return call_typed_impl<Resp>(from, to, method, Payload{std::move(request)},
-                                 timeout.value_or(options_.default_timeout));
+                                 timeout.value_or(kDefaultTimeout));
   }
   template <typename Resp, typename Req>
   Task<Result<Resp>> call_typed(NodeId from, NodeId to,
@@ -187,7 +178,6 @@ class RpcNetwork {
   [[nodiscard]] const RpcStats& stats() const noexcept { return stats_; }
   [[nodiscard]] Simulator& sim() noexcept { return sim_; }
   [[nodiscard]] Topology& topology() noexcept { return topology_; }
-  [[nodiscard]] const RpcOptions& options() const noexcept { return options_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
  private:
@@ -249,7 +239,6 @@ class RpcNetwork {
   Simulator& sim_;
   Topology& topology_;
   Rng rng_;
-  RpcOptions options_;
   obs::MetricsRegistry& metrics_;
   RpcStats stats_;
 

@@ -3,23 +3,21 @@
 // Versioned placement directory (DESIGN.md decision 12).
 //
 // DirectoryService exposes the Repository's authoritative placement map —
-// which already carries an epoch per collection — behind two RPCs:
-//
-//   dir.lookup   resolve one collection's placement (epoch-stamped view)
-//   dir.watch    long-poll: reply as soon as the epoch advances past the
-//                caller's, or with the unchanged view once a bounded
-//                server-side hold expires (the caller re-arms)
+// which already carries an epoch per collection — behind one RPC,
+// dir.lookup, which resolves one collection's placement as an
+// epoch-stamped view.
 //
 // DirectoryClient implements the store layer's DirectorySource over a
 // cached view of those answers. The cache bootstraps synchronously from the
 // authoritative map (placement is handed out with the collection handle, as
 // a real system would mint it at create time), so attaching a client adds
 // zero RPCs until the directory actually changes. After a migration the
-// cache may lag by an epoch; a data-path server answering kWrongEpoch (or a
-// watch notification) triggers refresh().
+// cache may lag by an epoch until a data-path server answers kWrongEpoch,
+// which triggers refresh(): a client learns that a fragment moved where it
+// meets the move, the way the paper's clients detect failures (section
+// 2.1).
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 
 #include "net/rpc.hpp"
@@ -30,20 +28,11 @@
 namespace weakset::placement {
 
 struct DirectoryServiceOptions {
-  /// Cost of composing one placement answer (map access + marshalling).
-  Duration lookup_latency = Duration::micros(100);
-  /// How long a dir.watch long-poll is held before replying with an
-  /// unchanged view. Bounded so handler coroutines never outlive the run;
-  /// the client re-arms on an unchanged reply.
-  Duration watch_hold = Duration::seconds(2);
-  /// Epoch re-check period while a watch is held. All bumps within one
-  /// period coalesce into a single notification carrying the latest view.
-  Duration watch_poll = Duration::millis(5);
   /// Telemetry sink. nullptr = the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// The directory server process: registers dir.lookup / dir.watch on `node`.
+/// The directory server process: registers dir.lookup on `node`.
 class DirectoryService {
  public:
   DirectoryService(Repository& repo, NodeId node,
@@ -55,21 +44,13 @@ class DirectoryService {
 
  private:
   Task<Result<Payload>> handle_lookup(NodeId from, Payload request);
-  Task<Result<Payload>> handle_watch(NodeId from, Payload request);
-  [[nodiscard]] msg::DirView view_of(CollectionId id) const;
 
   Repository& repo_;
   NodeId node_;
-  DirectoryServiceOptions options_;
   obs::MetricsRegistry& metrics_;
 };
 
 struct DirectoryClientOptions {
-  /// dir.lookup timeout; nullopt = the RPC network default.
-  std::optional<Duration> rpc_timeout;
-  /// Client-side long-poll timeout; must exceed the service's watch_hold or
-  /// every held watch times out before the unchanged reply arrives.
-  Duration watch_timeout = Duration::seconds(4);
   /// Telemetry sink. nullptr = the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -87,41 +68,28 @@ class DirectoryClient final : public DirectorySource {
   /// never changes; migration only rehomes).
   const CollectionMeta& meta(CollectionId id) override;
 
-  /// One dir.lookup round trip, unless the cache already is at or past
-  /// `current_epoch` (a nonzero hint lets concurrent healers share one
-  /// lookup; 0 forces the lookup). True once the cache is current enough.
+  /// One dir.lookup round trip (at the network's default timeout), unless
+  /// the cache already is at or past `current_epoch` (a nonzero hint lets
+  /// concurrent healers share one lookup; 0 forces the lookup). True once
+  /// the cache is current enough.
   Task<bool> refresh(CollectionId id, std::uint64_t current_epoch) override;
 
-  /// Spawns a dir.watch long-poll loop keeping `id`'s cached view fresh —
-  /// push-style invalidation instead of waiting for a kWrongEpoch. The
-  /// client must outlive the simulation run (stop() + drain before
-  /// destruction).
-  void watch(CollectionId id);
-
-  /// Asks watch loops to exit at their next wakeup.
-  void stop() noexcept { stopping_ = true; }
+  /// No-op: the client runs no background work. Kept because callers
+  /// outside the library stop their clients before draining a run.
+  void stop() noexcept {}
 
   [[nodiscard]] std::uint64_t cached_epoch(CollectionId id);
-  /// Watch replies that actually advanced the cache (coalesced bumps count
-  /// once).
-  [[nodiscard]] std::uint64_t notifications() const noexcept {
-    return notifications_;
-  }
 
  private:
   CollectionMeta& ensure(CollectionId id);
-  /// Folds an epoch-stamped view into the cache; true if it advanced it.
-  bool install(CollectionId id, const msg::DirView& view);
-  Task<void> watch_loop(CollectionId id);
+  /// Folds an epoch-stamped view into the cache.
+  void install(CollectionId id, const msg::DirView& view);
 
   Repository& repo_;
   NodeId node_;
   NodeId directory_;
-  DirectoryClientOptions options_;
   obs::MetricsRegistry& metrics_;
   std::unordered_map<CollectionId, CollectionMeta> cache_;
-  bool stopping_ = false;
-  std::uint64_t notifications_ = 0;
 };
 
 }  // namespace weakset::placement

@@ -1,8 +1,8 @@
 #pragma once
 
 // RPC request/response payload types for the placement subsystem: the
-// versioned directory (dir.lookup / dir.watch) and the live fragment
-// migration protocol (mig.*).
+// versioned directory (dir.lookup) and the live fragment migration protocol
+// (mig.*).
 //
 // Every type has user-provided constructors (non-aggregate) — required by
 // the GCC 12 coroutine workaround documented in DESIGN.md decision 6. The
@@ -30,26 +30,7 @@ class DirLookupRequest {
   CollectionId id_;
 };
 
-/// dir.watch: long-poll for a placement newer than `known_epoch`. The
-/// service replies as soon as the epoch advances past it, or with the
-/// unchanged view once the server-side hold expires (the client just
-/// re-arms). Rapid epoch bumps within one hold coalesce into a single reply
-/// carrying the latest view.
-class DirWatchRequest {
- public:
-  DirWatchRequest(CollectionId id, std::uint64_t known_epoch)
-      : id_(id), known_epoch_(known_epoch) {}
-  [[nodiscard]] CollectionId id() const noexcept { return id_; }
-  [[nodiscard]] std::uint64_t known_epoch() const noexcept {
-    return known_epoch_;
-  }
-
- private:
-  CollectionId id_;
-  std::uint64_t known_epoch_;
-};
-
-/// Reply to dir.lookup and dir.watch: one epoch-stamped placement view.
+/// Reply to dir.lookup: one epoch-stamped placement view.
 class DirView {
  public:
   DirView(std::uint64_t epoch, std::vector<FragmentMeta> fragments)

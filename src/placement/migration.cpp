@@ -1,6 +1,7 @@
 #include "placement/migration.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,13 @@ struct MigrationMetrics {
   obs::HistogramId migration_time{"placement.migration_time"};
 };
 const MigrationMetrics kMetrics{};
+
+/// Catch-up cut line: once the staging trails the source's live tail by at
+/// most this many ops, the dual-home handoff opens and the remaining backlog
+/// ships while new writes forward. This bounds migration time under
+/// sustained churn (a strict converge-then-handoff loop only finishes when
+/// the writers pause).
+constexpr std::uint64_t kHandoffBacklog = 32;
 
 }  // namespace
 
@@ -213,8 +221,7 @@ Task<Result<std::uint64_t>> MigrationEngine::run_source(StoreServer* server,
   std::optional<std::uint64_t> handoff_seq;
   for (;;) {
     const CollectionState* state = server->collection(id);
-    if (!handoff_seq &&
-        state->last_seq() - cursor <= options_.handoff_backlog) {
+    if (!handoff_seq && state->last_seq() - cursor <= kHandoffBacklog) {
       server->set_handoff(id, target);
       handoff_seq = state->last_seq();
     }
@@ -270,9 +277,9 @@ Task<Result<std::uint64_t>> MigrationEngine::run_source(StoreServer* server,
   }
 
   // 6. Commit on the source — one atomic transition: the directory bump
-  //    (which wakes dir.watch long-polls) and the tombstone happen before
-  //    any other event can interleave, so there is never an instant with
-  //    two live homes visible through the directory.
+  //    and the tombstone happen before any other event can interleave, so
+  //    there is never an instant with two live homes visible through the
+  //    directory.
   const std::uint64_t epoch = repo_.set_fragment_primary(id, fragment, target);
   server->retire_collection(id, target, epoch);
   co_return epoch;
@@ -314,7 +321,7 @@ Task<Result<Payload>> MigrationEngine::handle_begin(NodeId /*from*/,
   if (server == nullptr || !server->serving()) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
-  co_await repo_.sim().delay(server->options().membership_latency);
+  co_await repo_.sim().delay(StoreServer::kMembershipLatency);
   server = repo_.server_at(node_);
   if (server == nullptr || !server->serving()) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
@@ -338,7 +345,7 @@ Task<Result<Payload>> MigrationEngine::handle_chunk(NodeId /*from*/,
   if (server == nullptr || !server->serving()) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
-  co_await repo_.sim().delay(server->options().membership_latency);
+  co_await repo_.sim().delay(StoreServer::kMembershipLatency);
   const auto it = staging_.find(req.id());  // re-resolve: crash wipes staging
   if (it == staging_.end() || it->second->sealed) {
     co_return Failure{FailureKind::kNotFound, "no open staging"};
@@ -377,7 +384,7 @@ Task<Result<Payload>> MigrationEngine::stage_ops(smsg::SyncRequest req,
   if (server == nullptr || !server->serving()) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
-  co_await repo_.sim().delay(server->options().membership_latency);
+  co_await repo_.sim().delay(StoreServer::kMembershipLatency);
   const auto it = staging_.find(req.id());
   if (it != staging_.end() && it->second->sealed) {
     Staging& staging = *it->second;
@@ -412,7 +419,7 @@ Task<Result<Payload>> MigrationEngine::handle_finish(NodeId /*from*/,
   if (server == nullptr || !server->serving()) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
-  co_await repo_.sim().delay(server->options().membership_latency);
+  co_await repo_.sim().delay(StoreServer::kMembershipLatency);
   const auto it = staging_.find(req.id());
   if (it == staging_.end() || !it->second->sealed) {
     co_return Payload{msg::MigFinishReply{false, 0}};

@@ -15,7 +15,7 @@
 //      snapshot cursors.
 //   3. (S→T) mig.ops ships the ops that landed since the snapshot (a
 //      msg::SyncRequest batch sliced from S's op log) until the staging is
-//      within handoff_backlog ops of S's live tail.
+//      within kHandoffBacklog ops of S's live tail.
 //   4. (S) dual-home handoff: in one atomic transition S opens
 //      set_handoff(F, T) and records the cut line (its live tail at that
 //      instant) — every op committed past the line is forwarded to T
@@ -29,9 +29,9 @@
 //      (adopt_primary — same op stream, same incarnation) and persists it
 //      with an immediate checkpoint before replying promoted=true.
 //   6. (S) commit, in one atomic transition: bump the directory epoch
-//      (Repository::set_fragment_primary, waking dir.watch long-polls) and
-//      retire the local copy (WAL kMigrationDone tombstone; stale clients
-//      now get kWrongEpoch and self-heal).
+//      (Repository::set_fragment_primary) and retire the local copy (WAL
+//      kMigrationDone tombstone; stale clients now get kWrongEpoch and
+//      self-heal).
 //
 // Any failure before step 6 aborts: clear the handoff, best-effort
 // mig.abort to T, leave S the single home. A crash of S mid-migration
@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -58,14 +57,6 @@ struct MigrationEngineOptions {
   /// Members per mig.chunk slice (the snapshot streams in pieces so the
   /// source keeps interleaving reads between them).
   std::size_t chunk_size = 128;
-  /// Catch-up cut line: once the staging trails the source's live tail by
-  /// at most this many ops, the dual-home handoff opens and the remaining
-  /// backlog ships while new writes forward. This bounds migration time
-  /// under sustained churn (a strict converge-then-handoff loop only
-  /// finishes when the writers pause). 0 = strict convergence.
-  std::size_t handoff_backlog = 32;
-  /// Per-RPC timeout for protocol messages; nullopt = the network default.
-  std::optional<Duration> rpc_timeout;
   /// Telemetry sink. nullptr = the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -128,11 +119,11 @@ class MigrationEngine {
   Task<Result<Payload>> handle_finish(NodeId from, Payload request);
   Task<Result<Payload>> handle_abort(NodeId from, Payload request);
 
+  /// Protocol messages use the network's default timeout.
   template <typename Resp, typename Req>
   Task<Result<Resp>> call(NodeId to, std::string method, Req request) {
     return repo_.net().call_typed<Resp>(node_, to, std::move(method),
-                                        std::move(request),
-                                        options_.rpc_timeout);
+                                        std::move(request));
   }
 
   Repository& repo_;

@@ -17,6 +17,18 @@ struct RebalancerMetrics {
 };
 const RebalancerMetrics kMetrics{};
 
+/// Concurrent-migration budget: scans are skipped while this many moves are
+/// in flight.
+constexpr std::size_t kMaxConcurrent = 1;
+/// kLeastLoaded trigger: the hottest node's window demand must be at least
+/// this multiple of the coldest candidate's (floored at 1).
+constexpr std::uint64_t kImbalanceRatio = 2;
+/// kLocality trigger: the read-weighted distance must improve by at least
+/// this percent.
+constexpr std::uint64_t kMinImprovementPct = 25;
+/// mig.execute can stream a large fragment; give it a generous deadline.
+constexpr Duration kMigrateTimeout = Duration::seconds(30);
+
 }  // namespace
 
 std::optional<RebalancePolicy> parse_policy(std::string_view name) {
@@ -60,7 +72,7 @@ Task<void> Rebalancer::run_loop() {
     if (stopping_) co_return;
     metrics_.add(kMetrics.rebalance_scans);
     const std::vector<FragmentView> rows = scan();
-    if (in_flight_ >= options_.max_concurrent) continue;
+    if (in_flight_ >= kMaxConcurrent) continue;
     const std::optional<Move> move = decide(rows);
     if (!move) continue;
     ++in_flight_;
@@ -162,8 +174,8 @@ std::optional<Rebalancer::Move> Rebalancer::decide_least_loaded(
   if (!cold_node) return std::nullopt;
   // Trigger only on real imbalance, and only if the move helps: the victim
   // must not just swap the hot spot over to the target.
-  if (hot_load < options_.imbalance_ratio * std::max<std::uint64_t>(
-                     std::uint64_t{1}, cold_load)) {
+  if (hot_load <
+      kImbalanceRatio * std::max<std::uint64_t>(std::uint64_t{1}, cold_load)) {
     return std::nullopt;
   }
   if (cold_load + victim->window >= hot_load) return std::nullopt;
@@ -206,7 +218,7 @@ std::optional<Rebalancer::Move> Rebalancer::decide_locality(
       const std::optional<std::uint64_t> moved = cost_at(candidate);
       if (!moved || *moved >= *current) continue;
       const std::uint64_t gain = *current - *moved;
-      if (gain * 100 < *current * options_.min_improvement_pct) continue;
+      if (gain * 100 < *current * kMinImprovementPct) continue;
       if (gain > best_gain) {
         best_gain = gain;
         best = Move{row.id, row.fragment, row.home, candidate};
@@ -220,7 +232,7 @@ Task<void> Rebalancer::execute(Move move) {
   auto reply = co_await repo_.net().call_typed<msg::MigrateReply>(
       node_, move.source, "mig.execute",
       msg::MigrateRequest{move.id, move.fragment, move.target},
-      options_.migrate_timeout);
+      kMigrateTimeout);
   if (reply) {
     ++committed_;
     metrics_.add(kMetrics.rebalance_commits);

@@ -51,20 +51,9 @@ struct RebalancerOptions {
   /// Demand-window length: counters are scanned (and deltas formed) at this
   /// period.
   Duration interval = Duration::millis(500);
-  /// Concurrent-migration budget: scans are skipped while this many moves
-  /// are in flight.
-  std::size_t max_concurrent = 1;
-  /// kLeastLoaded trigger: the hottest node's window demand must be at
-  /// least this multiple of the coldest candidate's (floored at 1).
-  std::uint64_t imbalance_ratio = 2;
   /// Noise floor: a fragment (kLocality) or node (kLeastLoaded) below this
   /// many window events never triggers a move.
   std::uint64_t min_window_load = 8;
-  /// kLocality trigger: the read-weighted distance must improve by at least
-  /// this percent.
-  std::uint64_t min_improvement_pct = 25;
-  /// mig.execute can stream a large fragment; give it a generous deadline.
-  Duration migrate_timeout = Duration::seconds(30);
   /// Telemetry sink. nullptr = the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -62,7 +62,7 @@ struct AdmissionOptions {
   AdmissionPolicy policy = AdmissionPolicy::kReject;
   /// Service slots: how many admitted requests may be in flight at once.
   /// This is the server's modeled capacity; the per-request service *time*
-  /// is still charged by the handler (membership_latency et al.).
+  /// is still charged by the handler (kMembershipLatency et al.).
   std::size_t max_concurrency = 64;
   /// Queue slots per tenant (ignored under kUnbounded).
   std::size_t max_queue_depth = 256;

@@ -1,14 +1,14 @@
 #pragma once
 
-// ObjectCache: a client-side LRU cache of object payloads with optional TTL.
+// ObjectCache: a client-side LRU cache of object payloads.
 //
 // The paper leans on caching twice: an iterator "might keep a cached
 // version, which is a way to implement a history object" (section 3), and
 // "cached data may be stale" is one of the two sources of weak behaviour
 // (section 3's failure discussion). This cache makes both concrete: hits
 // avoid the wide-area fetch entirely, cached objects remain accessible when
-// their homes are partitioned away, and staleness is bounded only by the
-// TTL (or not at all).
+// their homes are partitioned away, and staleness is unbounded: an entry is
+// served until it is evicted or invalidated.
 
 #include <cassert>
 #include <cstdint>
@@ -17,21 +17,17 @@
 #include <unordered_map>
 
 #include "store/object.hpp"
-#include "util/time.hpp"
 
 namespace weakset {
 
 struct CacheOptions {
   /// Maximum resident entries; least-recently-used beyond that are evicted.
   std::size_t capacity = 256;
-  /// Entries older than this are treated as absent (nullopt = never expire).
-  std::optional<Duration> ttl;
 };
 
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t expirations = 0;
   std::uint64_t evictions = 0;
 };
 
@@ -41,43 +37,32 @@ class ObjectCache {
     assert(options_.capacity > 0);
   }
 
-  /// Fresh cached value for `ref`, touching it as most-recently-used.
-  std::optional<VersionedValue> get(ObjectRef ref, SimTime now) {
+  /// Cached value for `ref`, touching it as most-recently-used.
+  std::optional<VersionedValue> get(ObjectRef ref) {
     const auto it = index_.find(ref);
     if (it == index_.end()) {
       ++stats_.misses;
       return std::nullopt;
     }
-    Entry& entry = *it->second;
-    if (options_.ttl && now - entry.cached_at > *options_.ttl) {
-      ++stats_.expirations;
-      ++stats_.misses;
-      lru_.erase(it->second);
-      index_.erase(it);
-      return std::nullopt;
-    }
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second);  // touch
-    return entry.value;
+    return it->second->value;
   }
 
-  /// True iff `ref` is resident and fresh (without touching LRU order).
-  [[nodiscard]] bool contains(ObjectRef ref, SimTime now) const {
-    const auto it = index_.find(ref);
-    if (it == index_.end()) return false;
-    return !options_.ttl || now - it->second->cached_at <= *options_.ttl;
+  /// True iff `ref` is resident (without touching LRU order).
+  [[nodiscard]] bool contains(ObjectRef ref) const {
+    return index_.find(ref) != index_.end();
   }
 
   /// Inserts or refreshes an entry.
-  void put(ObjectRef ref, VersionedValue value, SimTime now) {
+  void put(ObjectRef ref, VersionedValue value) {
     const auto it = index_.find(ref);
     if (it != index_.end()) {
       it->second->value = std::move(value);
-      it->second->cached_at = now;
       lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    lru_.push_front(Entry{ref, std::move(value), now});
+    lru_.push_front(Entry{ref, std::move(value)});
     index_[ref] = lru_.begin();
     if (lru_.size() > options_.capacity) {
       ++stats_.evictions;
@@ -106,7 +91,6 @@ class ObjectCache {
   struct Entry {
     ObjectRef ref;
     VersionedValue value;
-    SimTime cached_at;
   };
 
   CacheOptions options_;

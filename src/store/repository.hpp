@@ -104,9 +104,9 @@ class CollectionMeta {
 /// Client-side placement resolution hook. The default (none attached) reads
 /// the Repository's authoritative map synchronously — always current, zero
 /// extra RPCs, so every pre-placement baseline is byte-identical. A
-/// placement::DirectoryClient implements this over a cached dir.lookup /
-/// dir.watch view, which may lag the authority by an epoch until a
-/// kWrongEpoch rejection (or a watch notification) triggers refresh().
+/// placement::DirectoryClient implements this over a cached dir.lookup
+/// view, which may lag the authority by an epoch until a kWrongEpoch
+/// rejection triggers refresh().
 class DirectorySource {
  public:
   virtual ~DirectorySource() = default;
@@ -131,7 +131,7 @@ class Repository : public MutationSink {
       std::function<void(CollectionId, CollectionOp::Kind, ObjectRef)>;
 
   /// Observer of directory changes (fragment rehomed, epoch bumped). The
-  /// placement DirectoryService uses this to wake dir.watch long-polls.
+  /// placement DirectoryService uses this to count epoch bumps.
   using DirectoryObserver =
       std::function<void(CollectionId, std::uint64_t /*epoch*/)>;
 
@@ -183,7 +183,7 @@ class Repository : public MutationSink {
   std::uint64_t set_fragment_primary(CollectionId id, std::size_t fragment,
                                      NodeId node);
 
-  /// Registers an observer of directory changes (placement watch service).
+  /// Registers an observer of directory changes (placement directory).
   void add_directory_observer(DirectoryObserver observer) {
     directory_observers_.push_back(std::move(observer));
   }

@@ -59,6 +59,15 @@ struct ServerMetrics {
 };
 const ServerMetrics kMetrics{};
 
+/// Simulated disk read for object payloads.
+constexpr Duration kObjectReadLatency = Duration::millis(2);
+/// Incremental disk cost per extra object of a store.fetch_batch: the first
+/// object pays kObjectReadLatency in full, each further one only this much
+/// (the reads overlap at the disk queue).
+constexpr Duration kBatchReadIncrement = Duration::micros(250);
+/// Simulated disk write for object payloads.
+constexpr Duration kObjectWriteLatency = Duration::millis(4);
+
 // Durable object names on the per-server SimDisk.
 constexpr const char kWalFile[] = "wal";
 constexpr const char kCheckpointFile[] = "checkpoint";
@@ -537,7 +546,7 @@ Task<Result<StoreServer::Entered>> StoreServer::enter(CollectionId id,
       co_return Failure{FailureKind::kOverloaded, "admission queue full"};
     }
   }
-  co_await net_.sim().delay(options_.membership_latency);
+  co_await net_.sim().delay(kMembershipLatency);
   if (epoch != epoch_) co_return node_crashed();
   Hosted* entry = find_entry(id);
   if (entry == nullptr) {
@@ -599,7 +608,7 @@ Task<Result<Payload>> StoreServer::handle_fetch(NodeId /*from*/,
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
   metrics_.add(kMetrics.server_fetches);
-  co_await net_.sim().delay(options_.object_read_latency);
+  co_await net_.sim().delay(kObjectReadLatency);
   const auto value = objects_.get(req.id());
   if (!value) {
     co_return Failure{FailureKind::kNotFound,
@@ -620,9 +629,9 @@ Task<Result<Payload>> StoreServer::handle_fetch_batch(NodeId /*from*/,
                         static_cast<std::int64_t>(req.ids().size()));
   // Overlapped disk reads: the first object pays the full read latency, each
   // further object only the incremental cost of another read in the queue.
-  Duration cost = options_.object_read_latency;
+  Duration cost = kObjectReadLatency;
   if (req.ids().size() > 1) {
-    cost = cost + options_.batch_read_increment *
+    cost = cost + kBatchReadIncrement *
                       static_cast<std::int64_t>(req.ids().size() - 1);
   }
   co_await net_.sim().delay(cost);
@@ -647,7 +656,7 @@ Task<Result<Payload>> StoreServer::handle_put(NodeId /*from*/,
   if (!serving_) {
     co_return Failure{FailureKind::kUnreachable, "node recovering"};
   }
-  co_await net_.sim().delay(options_.object_write_latency);
+  co_await net_.sim().delay(kObjectWriteLatency);
   const ObjectId id = req.id();
   co_return Payload{objects_.put(id, std::move(req).take_data())};
 }

@@ -70,21 +70,10 @@ struct DurabilityOptions {
 };
 
 struct StoreServerOptions {
-  /// Simulated disk read for object payloads.
-  Duration object_read_latency = Duration::millis(2);
-  /// Incremental disk cost per extra object of a store.fetch_batch: the first
-  /// object pays object_read_latency in full, each further one only this
-  /// much (the reads overlap at the disk queue).
-  Duration batch_read_increment = Duration::micros(250);
-  /// Simulated disk write for object payloads.
-  Duration object_write_latency = Duration::millis(4);
-  /// In-memory membership operation cost (fixed part of every membership
-  /// RPC).
-  Duration membership_latency = Duration::micros(100);
   /// Serialisation/transfer cost per membership entry shipped in a reply —
   /// a member of a full snapshot or an op of a delta. This is what makes
   /// whole-set reads scale with set size and delta reads scale with change
-  /// rate (precedent: batch_read_increment for payload batches).
+  /// rate (precedent: the per-object increment of a store.fetch_batch).
   Duration membership_entry_cost = Duration::micros(25);
   /// Membership ops retained per fragment (primaries and replicas) for
   /// incremental reads and anti-entropy; a reader whose cursor has fallen
@@ -108,6 +97,10 @@ struct StoreServerOptions {
 
 class StoreServer {
  public:
+  /// In-memory membership operation cost (fixed part of every membership
+  /// RPC, and of each migration step that touches a fragment).
+  static constexpr Duration kMembershipLatency = Duration::micros(100);
+
   StoreServer(RpcNetwork& net, NodeId node, StoreServerOptions options = {});
   StoreServer(const StoreServer&) = delete;
   StoreServer& operator=(const StoreServer&) = delete;
@@ -360,7 +353,7 @@ class StoreServer {
   void register_handlers();
   /// Every collection handler's prologue: refuses while recovering, takes an
   /// admission slot when `admit` (and admission is on), charges
-  /// membership_latency, fences on a crash meanwhile, then resolves `id` —
+  /// kMembershipLatency, fences on a crash meanwhile, then resolves `id` —
   /// unhosted is kNotFound, a tombstone kWrongEpoch.
   Task<Result<Entered>> enter(CollectionId id, bool admit);
   /// The transfer time of `entries` membership entries, counted into

@@ -1,23 +1,10 @@
 #pragma once
 
-// Small hashing helpers used for trace digests and container keys.
+// Hash mixing for the block engine's bucket hash.
 
 #include <cstdint>
-#include <string_view>
 
 namespace weakset {
-
-/// FNV-1a over bytes; stable across platforms, used for trace hashes in
-/// determinism tests.
-constexpr std::uint64_t fnv1a(std::string_view bytes,
-                              std::uint64_t seed = 0xcbf29ce484222325ULL) {
-  std::uint64_t h = seed;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Mixes a 64-bit value into a running hash (boost-style hash_combine with a
 /// 64-bit golden-ratio constant).

@@ -37,7 +37,7 @@ Task<std::uint64_t> SimDisk::sync(const std::string& file) {
   const std::uint64_t gen = generation_;
   const LogFile& f = logs_[file];
   const std::uint64_t target = f.next;
-  co_await sim_.delay(write_cost(pending_bytes(f)) + options_.fsync_latency);
+  co_await sim_.delay(write_cost(pending_bytes(f)) + kFsyncLatency);
   if (generation_ != gen) co_return logs_[file].durable_upto;
   LogFile& g = logs_[file];
   if (target > g.durable_upto) g.durable_upto = target;
@@ -88,7 +88,7 @@ std::uint64_t SimDisk::log_pending_bytes(const std::string& file) const {
 
 Task<bool> SimDisk::write_file(const std::string& file, std::string bytes) {
   const std::uint64_t gen = generation_;
-  co_await sim_.delay(write_cost(bytes.size()) + options_.fsync_latency);
+  co_await sim_.delay(write_cost(bytes.size()) + kFsyncLatency);
   if (generation_ != gen) co_return false;  // crash mid-write: old content
   files_[file] = std::move(bytes);
   co_return true;
@@ -121,7 +121,7 @@ Task<bool> SimDisk::write_extent(const std::string& device,
 
 Task<bool> SimDisk::sync_device(const std::string& device) {
   const std::uint64_t gen = generation_;
-  co_await sim_.delay(options_.fsync_latency);
+  co_await sim_.delay(kFsyncLatency);
   if (generation_ != gen) co_return false;  // the lottery already ran
   BlockDevice& d = devices_[device];
   for (BlockDevice::PendingExtent& p : d.pending) {

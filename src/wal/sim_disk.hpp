@@ -44,11 +44,6 @@
 namespace weakset {
 
 struct SimDiskOptions {
-  Duration write_latency = Duration::micros(50);   ///< per write/fsync issue
-  Duration write_per_byte = Duration::nanos(15);
-  Duration fsync_latency = Duration::micros(500);  ///< the barrier itself
-  Duration read_latency = Duration::micros(100);
-  Duration read_per_byte = Duration::nanos(8);
   /// When a crash loses pending records, probability that the first lost
   /// record was additionally torn mid-sector (detected by checksum on read).
   double torn_tail_probability = 0.4;
@@ -57,6 +52,15 @@ struct SimDiskOptions {
 
 class SimDisk {
  public:
+  // The cost model.
+  /// Per write/fsync issue.
+  static constexpr Duration kWriteLatency = Duration::micros(50);
+  static constexpr Duration kWritePerByte = Duration::nanos(15);
+  /// The barrier itself.
+  static constexpr Duration kFsyncLatency = Duration::micros(500);
+  static constexpr Duration kReadLatency = Duration::micros(100);
+  static constexpr Duration kReadPerByte = Duration::nanos(8);
+
   SimDisk(Simulator& sim, const SimDiskOptions& options)
       : sim_(sim), options_(options), rng_(options.seed) {}
   SimDisk(const SimDisk&) = delete;
@@ -174,14 +178,10 @@ class SimDisk {
   };
 
   [[nodiscard]] Duration write_cost(std::uint64_t bytes) const {
-    return options_.write_latency +
-           Duration::nanos(options_.write_per_byte.count_nanos() *
-                           static_cast<std::int64_t>(bytes));
+    return kWriteLatency + kWritePerByte * static_cast<std::int64_t>(bytes);
   }
   [[nodiscard]] Duration read_cost(std::uint64_t bytes) const {
-    return options_.read_latency +
-           Duration::nanos(options_.read_per_byte.count_nanos() *
-                           static_cast<std::int64_t>(bytes));
+    return kReadLatency + kReadPerByte * static_cast<std::int64_t>(bytes);
   }
   [[nodiscard]] static std::uint64_t pending_bytes(const LogFile& f);
   [[nodiscard]] static LogContents durable_contents(const LogFile& f);

@@ -1,5 +1,5 @@
 // Tests for the client-side object cache and the caching SetView decorator:
-// LRU/TTL mechanics, fetch short-circuiting, and availability-from-cache
+// LRU mechanics, fetch short-circuiting, and availability-from-cache
 // (iterating through a partition on cached copies).
 
 #include <gtest/gtest.h>
@@ -21,13 +21,11 @@ VersionedValue val(const std::string& data, std::uint64_t version = 1) {
   return VersionedValue{data, version};
 }
 
-SimTime at_ms(int ms) { return SimTime::zero() + Duration::millis(ms); }
-
 TEST(ObjectCacheTest, MissThenHit) {
   ObjectCache cache;
-  EXPECT_FALSE(cache.get(ref(1), at_ms(0)).has_value());
-  cache.put(ref(1), val("x"), at_ms(0));
-  const auto hit = cache.get(ref(1), at_ms(1));
+  EXPECT_FALSE(cache.get(ref(1)).has_value());
+  cache.put(ref(1), val("x"));
+  const auto hit = cache.get(ref(1));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->data(), "x");
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -38,35 +36,22 @@ TEST(ObjectCacheTest, LruEvictsOldest) {
   CacheOptions options;
   options.capacity = 2;
   ObjectCache cache{options};
-  cache.put(ref(1), val("a"), at_ms(0));
-  cache.put(ref(2), val("b"), at_ms(1));
+  cache.put(ref(1), val("a"));
+  cache.put(ref(2), val("b"));
   // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_TRUE(cache.get(ref(1), at_ms(2)).has_value());
-  cache.put(ref(3), val("c"), at_ms(3));
-  EXPECT_TRUE(cache.get(ref(1), at_ms(4)).has_value());
-  EXPECT_FALSE(cache.get(ref(2), at_ms(4)).has_value());
-  EXPECT_TRUE(cache.get(ref(3), at_ms(4)).has_value());
+  EXPECT_TRUE(cache.get(ref(1)).has_value());
+  cache.put(ref(3), val("c"));
+  EXPECT_TRUE(cache.get(ref(1)).has_value());
+  EXPECT_FALSE(cache.get(ref(2)).has_value());
+  EXPECT_TRUE(cache.get(ref(3)).has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(ObjectCacheTest, TtlExpiresEntries) {
-  CacheOptions options;
-  options.ttl = Duration::millis(100);
-  ObjectCache cache{options};
-  cache.put(ref(1), val("x"), at_ms(0));
-  EXPECT_TRUE(cache.get(ref(1), at_ms(99)).has_value());
-  EXPECT_FALSE(cache.get(ref(1), at_ms(200)).has_value());
-  EXPECT_EQ(cache.stats().expirations, 1u);
-  EXPECT_EQ(cache.size(), 0u);  // expired entry dropped
-}
-
-TEST(ObjectCacheTest, PutRefreshesAgeAndValue) {
-  CacheOptions options;
-  options.ttl = Duration::millis(100);
-  ObjectCache cache{options};
-  cache.put(ref(1), val("v1", 1), at_ms(0));
-  cache.put(ref(1), val("v2", 2), at_ms(90));
-  const auto hit = cache.get(ref(1), at_ms(150));  // young again
+TEST(ObjectCacheTest, PutRefreshesValue) {
+  ObjectCache cache;
+  cache.put(ref(1), val("v1", 1));
+  cache.put(ref(1), val("v2", 2));
+  const auto hit = cache.get(ref(1));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->version(), 2u);
   EXPECT_EQ(cache.size(), 1u);
@@ -74,25 +59,23 @@ TEST(ObjectCacheTest, PutRefreshesAgeAndValue) {
 
 TEST(ObjectCacheTest, InvalidateDrops) {
   ObjectCache cache;
-  cache.put(ref(1), val("x"), at_ms(0));
+  cache.put(ref(1), val("x"));
   cache.invalidate(ref(1));
-  EXPECT_FALSE(cache.get(ref(1), at_ms(1)).has_value());
+  EXPECT_FALSE(cache.get(ref(1)).has_value());
   cache.invalidate(ref(9));  // absent: no-op
 }
 
-TEST(ObjectCacheTest, ContainsHonoursTtlWithoutTouching) {
+TEST(ObjectCacheTest, ContainsLeavesLruOrderAlone) {
   CacheOptions options;
   options.capacity = 2;
-  options.ttl = Duration::millis(100);
   ObjectCache cache{options};
-  cache.put(ref(1), val("a"), at_ms(0));
-  cache.put(ref(2), val("b"), at_ms(1));
-  EXPECT_TRUE(cache.contains(ref(1), at_ms(50)));
-  EXPECT_FALSE(cache.contains(ref(1), at_ms(500)));
+  cache.put(ref(1), val("a"));
+  cache.put(ref(2), val("b"));
+  EXPECT_TRUE(cache.contains(ref(1)));
   // contains() must not touch LRU order: 1 is still the eviction victim.
-  cache.put(ref(3), val("c"), at_ms(60));
-  EXPECT_FALSE(cache.contains(ref(1), at_ms(61)));
-  EXPECT_TRUE(cache.contains(ref(2), at_ms(61)));
+  cache.put(ref(3), val("c"));
+  EXPECT_FALSE(cache.contains(ref(1)));
+  EXPECT_TRUE(cache.contains(ref(2)));
 }
 
 // ---------------------------------------------------------------------------
@@ -169,12 +152,10 @@ TEST_F(CachingViewTest, CachedObjectsRemainReachableThroughPartition) {
   EXPECT_EQ(value.value().data(), "data1");
 }
 
-TEST_F(CachingViewTest, StaleHitServesOldVersionUntilTtl) {
+TEST_F(CachingViewTest, StaleHitServesOldVersion) {
   RepositoryClient client{repo, client_node};
   RepoSetView inner{client, coll};
-  CacheOptions options;
-  options.ttl = Duration::millis(500);
-  CachingSetView view{inner, options};
+  CachingSetView view{inner};
 
   run_task(sim, [](SetView& v, ObjectRef r) -> Task<void> {
     (void)co_await v.fetch(r);
@@ -182,22 +163,13 @@ TEST_F(CachingViewTest, StaleHitServesOldVersionUntilTtl) {
   // The object changes at the server.
   ASSERT_TRUE(run_task(sim, client.put(objs[0], "fresh")).has_value());
 
-  // Within TTL: the stale version is served (weak currency).
-  auto fetched = run_task(
+  // The stale version is served (weak currency).
+  const auto fetched = run_task(
       sim, [](SetView& v, ObjectRef r) -> Task<Result<VersionedValue>> {
         co_return co_await v.fetch(r);
       }(view, objs[0]));
   ASSERT_TRUE(fetched.has_value());
   EXPECT_EQ(fetched.value().data(), "data0");
-
-  // After TTL: the fresh version is fetched and recached.
-  sim.run_until(sim.now() + Duration::millis(600));
-  fetched = run_task(
-      sim, [](SetView& v, ObjectRef r) -> Task<Result<VersionedValue>> {
-        co_return co_await v.fetch(r);
-      }(view, objs[0]));
-  ASSERT_TRUE(fetched.has_value());
-  EXPECT_EQ(fetched.value().data(), "fresh");
 }
 
 TEST_F(CachingViewTest, WarmCacheLetsFig3CompleteThroughPartition) {

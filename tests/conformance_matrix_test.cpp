@@ -725,14 +725,13 @@ TEST(CrashRecoveryDeterminism, RerunCellTwiceIsByteIdentical) {
 // Migration axis: one live fragment move lands in the middle of the
 // iteration (src/placement, DESIGN.md decision 12). The iterating and
 // mutating clients both resolve placement through cached DirectoryClients,
-// so the move makes their views stale mid-run — the WrongEpoch heal (and
-// the dir.watch push) must keep every figure's specification intact. Under
-// the locking figures the interplay goes the other way: fig5 pins the
-// fragments for the whole iteration, so the scripted move must abort
-// cleanly (migration and locks exclude each other); fig4's freeze is brief,
-// so the move usually commits after the snapshot's unfreeze. Either way the
-// run must end with exactly one consistent home that agrees with the
-// directory.
+// so the move makes their views stale mid-run — the WrongEpoch heal must
+// keep every figure's specification intact. Under the locking figures the
+// interplay goes the other way: fig5 pins the fragments for the whole
+// iteration, so the scripted move must abort cleanly (migration and locks
+// exclude each other); fig4's freeze is brief, so the move usually commits
+// after the snapshot's unfreeze. Either way the run must end with exactly
+// one consistent home that agrees with the directory.
 
 struct MigrationCell {
   bool finished = false;
@@ -835,7 +834,6 @@ MigrationCell run_migration_cell(Semantics semantics, ReadPolicy policy,
 
   placement::DirectoryClient reader_dir{repo, client_node, directory.node(),
                                         dir_client_options};
-  reader_dir.watch(coll);  // push invalidation alongside the pull-side heal
   ClientOptions client_options;
   client_options.read_policy = policy;
   client_options.metrics = &reg;
@@ -933,10 +931,8 @@ MigrationCell run_migration_cell(Semantics semantics, ReadPolicy policy,
     EXPECT_FALSE(repo.server_at(servers[2])->hosts_primary(coll));
   }
 
-  mutator_dir.stop();
-  reader_dir.stop();
   repo.stop_all_daemons();
-  sim.run();  // drain daemons + held watch long-polls
+  sim.run();  // drain daemons
   cell.metrics_json = reg.to_json();
   return cell;
 }

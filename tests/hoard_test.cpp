@@ -8,6 +8,7 @@
 
 #include "core/caching_view.hpp"
 #include "core/weak_set.hpp"
+#include "obs/metrics.hpp"
 #include "spec/repo_truth.hpp"
 #include "spec/specs.hpp"
 
@@ -57,6 +58,42 @@ TEST_F(HoardTest, HoardCapturesMembershipAndPayloads) {
   ASSERT_TRUE(hoarded.has_value());
   EXPECT_TRUE(view.has_hoard());
   EXPECT_EQ(view.cache().size(), 5u);
+}
+
+TEST(HoardBatchTest, HoardSendsOneFetchBatchPerHome) {
+  // Members homed on two servers: hoard() fetches them in one fetch_many,
+  // so each home answers one store.fetch_batch and no store.fetch is sent.
+  Simulator sim;
+  Topology topo;
+  const NodeId laptop = topo.add_node("laptop");
+  const NodeId a = topo.add_node("a");
+  const NodeId b = topo.add_node("b");
+  topo.connect_full_mesh(Duration::millis(20));
+  obs::MetricsRegistry metrics;
+  RpcNetwork net{sim, topo, Rng{73}, RpcOptions{.metrics = &metrics}};
+  Repository repo{net};
+  repo.add_server(a);
+  repo.add_server(b);
+  const CollectionId coll = repo.create_collection({a, b});
+  for (int i = 0; i < 8; ++i) {
+    const NodeId home = i % 2 == 0 ? a : b;
+    repo.seed_member(coll, repo.create_object(home, "doc" + std::to_string(i)));
+  }
+  RepositoryClient client{repo, laptop};
+  RepoSetView inner{client, coll};
+  CachingSetView view{inner};
+  const auto hoarded =
+      run_task(sim, [](CachingSetView& v) -> Task<Result<void>> {
+        co_return co_await v.hoard();
+      }(view));
+  ASSERT_TRUE(hoarded.has_value());
+  EXPECT_EQ(view.cache().size(), 8u);
+  EXPECT_EQ(metrics.counter("rpc.store.fetch_batch.ok"), 2u);
+  EXPECT_EQ(metrics.counter("rpc.store.fetch.ok") +
+                metrics.counter("rpc.store.fetch.failed"),
+            0u);
+  repo.stop_all_daemons();
+  sim.run();
 }
 
 TEST_F(HoardTest, OfflineIterationCompletesFromHoard) {

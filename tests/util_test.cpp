@@ -242,13 +242,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   EXPECT_LT(same, 3);
 }
 
-TEST(HashTest, Fnv1aStable) {
-  // Known FNV-1a test vector.
-  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
-  EXPECT_NE(fnv1a("abc"), fnv1a("acb"));
-}
-
 TEST(HashTest, HashCombineOrderSensitive) {
   const auto h1 = hash_combine(hash_combine(0, 1), 2);
   const auto h2 = hash_combine(hash_combine(0, 2), 1);

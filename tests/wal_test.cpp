@@ -36,11 +36,10 @@ TEST(SimDisk, AppendIsFreeSyncChargesTheCostModel) {
   EXPECT_EQ(upto, 1u);
   EXPECT_EQ(disk.log_durable_upto("wal"), 1u);
   EXPECT_EQ(disk.log_pending_bytes("wal"), 0u);
-  // write_latency + 100 B * write_per_byte + fsync_latency, nothing else.
-  const SimDiskOptions defaults;
+  // kWriteLatency + 100 B * kWritePerByte + kFsyncLatency, nothing else.
   EXPECT_EQ(sim.now() - SimTime{},
-            defaults.write_latency + Duration::nanos(100 * 15) +
-                defaults.fsync_latency);
+            SimDisk::kWriteLatency + Duration::nanos(100 * 15) +
+                SimDisk::kFsyncLatency);
 }
 
 TEST(SimDisk, IndicesStayAbsoluteAcrossTruncation) {
