@@ -103,29 +103,38 @@ void micro_event_loop(benchmark::State& state) {
 BENCHMARK(micro_event_loop)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // -- ns/timer: schedule_cancellable + immediate cancel churn ----------------
-// Models the RPC timeout pattern: every call arms a timer that is almost
-// always cancelled by the reply.
+// Each hop of a chain arms a timer, cancels it at once and schedules the
+// next hop 2 us later. With a 1 us deadline the timer would have expired by
+// the next hop anyway, so this measures the arm/cancel round trip alone; the
+// RPC timeout as it really is, a far deadline that a reply beats by far, is
+// micro_timer_cancel_far at the end of this file.
 
-void timer_chain(Simulator& sim, std::uint64_t* left) {
+void timer_chain(Simulator& sim, Duration deadline, std::uint64_t* left) {
   if ((*left)-- == 0) return;
-  const auto token = sim.schedule_cancellable(Duration::micros(1), [] {});
+  const auto token = sim.schedule_cancellable(deadline, [] {});
   token.cancel();
-  sim.schedule(Duration::micros(2), [&sim, left] { timer_chain(sim, left); });
+  sim.schedule(Duration::micros(2), [&sim, deadline, left] {
+    timer_chain(sim, deadline, left);
+  });
 }
 
-void run_timers(Simulator& sim, std::uint64_t n) {
+void run_timers(Simulator& sim, Duration deadline, std::uint64_t n) {
   std::uint64_t left = n;
-  timer_chain(sim, &left);
+  timer_chain(sim, deadline, &left);
   sim.run();
 }
 
-void micro_timer_cancel(benchmark::State& state) {
+void bench_timers(benchmark::State& state, Duration deadline) {
   for (auto _ : state) {
     Simulator sim;
-    run_timers(sim, kWarmupTimers);
-    const Measured m = measure([&] { run_timers(sim, kTimers); });
+    run_timers(sim, deadline, kWarmupTimers);
+    const Measured m = measure([&] { run_timers(sim, deadline, kTimers); });
     report(state, "timer", m, static_cast<double>(kTimers));
   }
+}
+
+void micro_timer_cancel(benchmark::State& state) {
+  bench_timers(state, Duration::micros(1));
 }
 BENCHMARK(micro_timer_cancel)->Iterations(1)->Unit(benchmark::kMillisecond);
 
@@ -233,6 +242,18 @@ void micro_read_all_delta(benchmark::State& state) {
   }
 }
 BENCHMARK(micro_read_all_delta)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+// -- ns/timer, far deadline: the RPC timeout as it really is ---------------
+// The chain above with every timer armed for the RPC default timeout (2 s)
+// and cancelled long before it: a reply arrives within milliseconds. A
+// cancelled timer that stayed queued until its deadline would pile up here
+// (the whole measured loop spans 0.26 simulated seconds), growing the heap
+// and the slot slab with every hop.
+
+void micro_timer_cancel_far(benchmark::State& state) {
+  bench_timers(state, RpcNetwork::kDefaultTimeout);
+}
+BENCHMARK(micro_timer_cancel_far)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

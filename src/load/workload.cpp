@@ -24,6 +24,25 @@ struct LoadMetrics {
 };
 const LoadMetrics kMetrics{};
 
+/// Zipfian skew of collection popularity (YCSB default 0.99).
+constexpr double kZipfTheta = 0.99;
+
+/// Relative weights of the per-session op mix, normalised into cumulative
+/// thresholds for one uniform draw (iterate is the remainder).
+constexpr double kInsertWeight = 0.45;
+constexpr double kRemoveWeight = 0.25;
+constexpr double kIterateWeight = 0.30;
+constexpr double kMixTotal = kInsertWeight + kRemoveWeight + kIterateWeight;
+constexpr double kMixInsert = kInsertWeight / kMixTotal;
+constexpr double kMixRemove = kMixInsert + kRemoveWeight / kMixTotal;
+
+/// Which figure semantics iterate ops run.
+constexpr Semantics kIterateSemantics = Semantics::kFig1Immutable;
+
+/// Join-poll granularity of run(): it returns at the first poll tick after
+/// the last session departs.
+constexpr Duration kPollInterval = Duration::millis(5);
+
 /// Per-session seed fork: splitmix-style mixing of the run seed and the
 /// session index, so each session's stream is independent of spawn order
 /// (same idiom as StoreServer's per-node disk lottery).
@@ -64,14 +83,7 @@ void LoadEngine::build() {
   const std::vector<NodeId>& servers = repo_.server_nodes();
   assert(!servers.empty() && "add servers before building the workload");
 
-  // Normalise the op mix into cumulative thresholds for one uniform draw.
-  const double total =
-      options_.mix.insert + options_.mix.remove + options_.mix.iterate;
-  assert(total > 0.0 && "op mix must have positive weight");
-  mix_insert_ = options_.mix.insert / total;
-  mix_remove_ = mix_insert_ + options_.mix.remove / total;
-
-  zipf_.emplace(options_.collections_per_tenant, options_.zipf_theta);
+  zipf_.emplace(options_.collections_per_tenant, kZipfTheta);
 
   // Tenant-major collections; fragment primaries and object homes
   // round-robin over the servers with a per-collection offset so load
@@ -116,7 +128,7 @@ Task<void> LoadEngine::run() {
   }
   // Join: poll until every session departed.
   while (stats_.sessions_finished < options_.sessions) {
-    co_await sim.delay(options_.poll_interval);
+    co_await sim.delay(kPollInterval);
   }
 }
 
@@ -189,12 +201,12 @@ Task<void> LoadEngine::run_op(RepositoryClient& client, std::size_t tenant,
 
   bool ok = false;
   std::optional<Failure> failure;
-  if (draw < mix_remove_) {
+  if (draw < kMixRemove) {
     // No co_await inside a conditional expression: GCC 12 destroys the
     // selected arm's temporary before the copy-out (double free).
     const ObjectRef ref = rng.pick(pool);
     Result<bool> result{false};
-    if (draw < mix_insert_) {
+    if (draw < kMixInsert) {
       result = co_await client.add(coll, ref);
     } else {
       result = co_await client.remove(coll, ref);
@@ -203,8 +215,7 @@ Task<void> LoadEngine::run_op(RepositoryClient& client, std::size_t tenant,
     if (!ok) failure = result.error();
   } else {
     RepoSetView view{client, coll};
-    auto iterator =
-        make_elements_iterator(view, options_.iterate_semantics, {});
+    auto iterator = make_elements_iterator(view, kIterateSemantics, {});
     const DrainResult result = co_await drain(*iterator);
     stats_.elements_yielded += result.count();
     metrics_.add(kMetrics.iterate_elements, result.count());

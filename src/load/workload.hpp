@@ -9,8 +9,8 @@
 // of operations, and depart — the churn of a real user population. Each
 // session belongs to a tenant (round-robin by arrival index), picks
 // collections inside its tenant's namespace with Zipfian popularity
-// (load/zipf.hpp), and runs a configurable op mix of inserts, removes, and
-// full iterator drains at one of the paper's figure semantics.
+// (load/zipf.hpp), and runs a fixed op mix of inserts, removes, and full
+// iterator drains at Fig 1 semantics (constants in load/workload.cpp).
 //
 // Two pacing disciplines:
 //
@@ -57,13 +57,6 @@ enum class ArrivalMode : std::uint8_t {
   kOpenLoop,    ///< fire on a timer regardless of completion (can overload)
 };
 
-/// Relative weights of the per-session op mix (normalised internally).
-struct OpMix {
-  double insert = 0.45;
-  double remove = 0.25;
-  double iterate = 0.30;
-};
-
 struct LoadOptions {
   /// Total sessions to arrive over the run.
   std::size_t sessions = 1000;
@@ -73,8 +66,6 @@ struct LoadOptions {
   /// Collections per tenant namespace; within a tenant, session ops pick
   /// collection 0 most often (Zipfian rank by popularity).
   std::size_t collections_per_tenant = 4;
-  /// Zipfian skew of collection popularity (YCSB default 0.99).
-  double zipf_theta = 0.99;
   /// Fragments per collection (round-robin over the repo's servers).
   std::size_t fragments = 1;
   /// Pre-created object pool per collection; sessions insert/remove pool
@@ -91,9 +82,6 @@ struct LoadOptions {
   Duration think_time = Duration::millis(10);
   /// Open loop: exponential op-timer interval (sets offered load).
   Duration op_interval = Duration::millis(10);
-  OpMix mix;
-  /// Which figure semantics iterate ops run.
-  Semantics iterate_semantics = Semantics::kFig1Immutable;
   /// Per-RPC timeout of session clients: under kUnbounded admission a
   /// queued-forever request must eventually fail at the caller.
   Duration rpc_timeout = Duration::seconds(1);
@@ -104,9 +92,6 @@ struct LoadOptions {
   /// kWrongEpoch self-heal when the rebalancer moves a fragment mid-run.
   std::vector<DirectorySource*> directories;
   std::uint64_t seed = 1;
-  /// Join-poll granularity of run(): it returns at the first poll tick
-  /// after the last session departs.
-  Duration poll_interval = Duration::millis(5);
   /// Telemetry sink. nullptr = the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -167,8 +152,8 @@ class LoadEngine {
   }
 
   Task<void> session(std::size_t index);
-  /// One operation: pick collection (Zipf) + op kind (mix), run it, classify
-  /// the outcome into stats_ and the latency histogram.
+  /// One operation: pick collection (Zipf) + op kind (the fixed mix), run
+  /// it, classify the outcome into stats_ and the latency histogram.
   Task<void> run_op(RepositoryClient& client, std::size_t tenant, Rng& rng);
   /// Open-loop wrapper: run_op, then signal the session's sync block.
   Task<void> run_op_detached(std::shared_ptr<RepositoryClient> client,
@@ -185,8 +170,6 @@ class LoadEngine {
   std::vector<std::vector<ObjectRef>> pools_;
   /// Rank sampler within a tenant namespace (const after build).
   std::optional<ZipfianSampler> zipf_;
-  double mix_insert_ = 0.0;  ///< normalised mix thresholds
-  double mix_remove_ = 0.0;  ///< (cumulative; iterate is the remainder)
 };
 
 }  // namespace weakset::load

@@ -11,9 +11,10 @@
 //
 // Hot-path memory discipline (DESIGN.md decision 13): event callbacks live
 // in a slab of recycled slots and are InlineFunc (small-buffer optimised),
-// and cancellation is a generation counter on the slot rather than a
-// shared_ptr<bool> token — so the steady-state event loop performs zero
-// allocations per event (tests/alloc_test.cpp holds this to account).
+// and a cancelled event leaves the heap at once, its slot matched against
+// stale timer tokens by a generation counter — so the steady-state event
+// loop performs zero allocations per event (tests/alloc_test.cpp holds this
+// to account) and the heap holds only events that will run.
 
 #include <cassert>
 #include <coroutine>
@@ -48,13 +49,15 @@ class Simulator {
   /// Runs `fn` at absolute virtual time `at` (>= now()).
   void schedule_at(SimTime at, InlineFunc fn);
 
-  /// Handle to a pending timer; cancelling it makes the event a no-op that
-  /// neither runs nor advances the clock (important for timeout timers that
-  /// lost their race against a reply). The token is a (slot, generation)
-  /// pair: cancel() bumps the slot's generation so the queued entry — and
-  /// any stale copy of the token — no longer matches. Cancelling after the
-  /// timer fired (or after a second cancel) is a harmless no-op, but the
-  /// token must not outlive the Simulator itself.
+  /// Handle to a pending timer; cancelling it takes the event out of the
+  /// queue at once, so it neither runs nor advances the clock, and destroys
+  /// its callable (important for timeout timers that lost their race against
+  /// a reply: they would otherwise sit in the queue, captures and all, until
+  /// their deadline). The token is a (slot, generation) pair: running or
+  /// cancelling the event bumps the slot's generation, so any stale copy of
+  /// the token no longer matches. Cancelling after the timer fired (or after
+  /// a second cancel) is a harmless no-op, but the token must not outlive
+  /// the Simulator itself.
   class TimerToken {
    public:
     TimerToken() = default;
@@ -90,6 +93,7 @@ class Simulator {
   /// Processes a single event. Returns false if no events were pending.
   bool step();
 
+  /// True when no event is pending; a cancelled timer is not pending.
   [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return processed_;
@@ -118,24 +122,26 @@ class Simulator {
 
  private:
   /// A queued callback. Slots are recycled through a free list; `gen`
-  /// distinguishes the current occupant from stale heap entries and timer
-  /// tokens, and is bumped on both cancellation and completion.
+  /// distinguishes the current occupant from stale timer tokens, and is
+  /// bumped on both cancellation and completion.
   struct Slot {
     InlineFunc fn;
     std::uint32_t gen = 0;
+    std::uint32_t pos = 0;  ///< index of this slot's entry in queue_
     std::uint32_t next_free = kNoSlot;
   };
   /// Heap entries are 24 trivially-copyable bytes; the callable stays put in
-  /// the slab while sift-up/down shuffle these.
+  /// the slab while sift-up/down shuffle these. Every entry is live: a
+  /// cancelled event leaves the heap when it is cancelled.
   struct HeapEntry {
     SimTime at;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  // Min-heap on (at, seq) implemented over a vector so entries stay movable.
+  // Binary min-heap on (at, seq) over a vector. Each queued slot records its
+  // entry's index (Slot::pos), so a cancel can remove the entry in place.
   static bool later(const HeapEntry& a, const HeapEntry& b) {
     return a.at > b.at || (a.at == b.at && a.seq > b.seq);
   }
@@ -143,11 +149,18 @@ class Simulator {
   std::uint32_t acquire_slot(InlineFunc fn);
   void release_slot(std::uint32_t slot) noexcept;
   void cancel_slot(std::uint32_t slot, std::uint32_t gen) noexcept;
+  /// Writes `entry` into queue_[i] and records i as its slot's position.
+  void place(std::size_t i, const HeapEntry& entry) noexcept;
+  /// Moves `entry` from the hole at queue_[hole] towards the root (up) or
+  /// the leaves (down) until the heap order holds, then places it.
+  void sift_up(std::size_t hole, HeapEntry entry) noexcept;
+  void sift_down(std::size_t hole, HeapEntry entry) noexcept;
+  /// Takes queue_[i] out of the heap, moving the last entry into the hole.
+  void remove_entry(std::size_t i) noexcept;
   void push_entry(SimTime at, std::uint32_t slot);
-  /// Pops the top heap entry and, unless it was cancelled, runs it. Returns
-  /// false for a cancelled entry, which is reclaimed silently without
-  /// advancing the clock. Precondition: the queue is non-empty.
-  bool run_top();
+  /// Pops the top heap entry and runs it. Precondition: the queue is
+  /// non-empty.
+  void run_top();
 
   std::vector<HeapEntry> queue_;
   std::vector<Slot> slots_;

@@ -181,9 +181,11 @@ Failure node_crashed() {
   return Failure{FailureKind::kNodeCrashed, "node crashed"};
 }
 
-/// Every server draws its own crash lottery: fork the configured seed by
+/// Every server's disk has the default cost model and crash lottery
+/// (SimDiskOptions{}) and draws its own lottery: fork the default seed by
 /// node id so same-seed runs stay byte-identical but servers differ.
-SimDiskOptions node_disk_options(SimDiskOptions options, NodeId node) {
+SimDiskOptions node_disk_options(NodeId node) {
+  SimDiskOptions options;
   options.seed ^= 0x9e3779b97f4a7c15ull * (node.raw() + 1);
   return options;
 }
@@ -197,7 +199,7 @@ StoreServer::StoreServer(RpcNetwork& net, NodeId node,
       options_(options),
       metrics_(obs::sink(options.metrics)),
       admission_(net.sim(), options.admission, metrics_),
-      disk_(net.sim(), node_disk_options(options.durability.disk, node)),
+      disk_(net.sim(), node_disk_options(node)),
       wal_(net.sim(), disk_, kWalFile, options.durability.fsync_interval,
            &metrics_) {
   if (options_.durability.block.enabled) {

@@ -60,8 +60,6 @@ struct DurabilityOptions {
   /// intervals mean fewer checkpoint writes but a longer WAL tail to replay
   /// (and re-fsync) at recovery — the E14 tradeoff.
   Duration checkpoint_interval = Duration::millis(250);
-  /// Cost model and crash lottery of the simulated disk.
-  SimDiskOptions disk;
   /// Block storage engine under the WAL (DESIGN.md decision 17): paged
   /// member buckets, LRU cache, incremental shadow-paged checkpoints,
   /// background compaction. Default-off — the whole-file checkpoint path

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -91,7 +95,8 @@ TEST(SimulatorTest, CancelledTimerNeitherFiresNorAdvancesClock) {
   token.cancel();
   sim.run();
   EXPECT_FALSE(fired);
-  // The cancelled event is skipped silently: the clock stops at 5ms.
+  // The cancelled event left the queue when it was cancelled: the clock
+  // stops at 5ms.
   EXPECT_EQ(sim.now(), SimTime::zero() + Duration::millis(5));
   EXPECT_EQ(sim.events_processed(), 1u);
 }
@@ -170,14 +175,15 @@ TEST(SimulatorTest, StaleTokenDoesNotCancelReusedSlot) {
 }
 
 TEST(SimulatorTest, CancelledSlotIsReclaimedAndReused) {
-  // A cancelled entry is reclaimed when it surfaces at the heap top; the
-  // slot then serves new timers with a fresh generation.
+  // A cancel takes the entry out of the heap and returns its slot to the
+  // free list at once; the slot then serves new timers with a fresh
+  // generation.
   Simulator sim;
   bool cancelled_fired = false;
   const auto token = sim.schedule_cancellable(
       Duration::millis(1), [&cancelled_fired] { cancelled_fired = true; });
   token.cancel();
-  sim.run();  // surfaces and reclaims the dead entry
+  sim.run();  // nothing to run: the cancel already reclaimed the slot
 
   int fires = 0;
   for (int i = 0; i < 3; ++i) {
@@ -191,6 +197,24 @@ TEST(SimulatorTest, CancelledSlotIsReclaimedAndReused) {
   sim.run();
   EXPECT_FALSE(cancelled_fired);
   EXPECT_EQ(fires, 3);
+}
+
+TEST(SimulatorTest, CancelledTimerLeavesTheQueueAtOnce) {
+  // A cancelled timer does not wait in the queue for its deadline: the
+  // simulator is idle as soon as it is cancelled, and the callable and what
+  // it captured are destroyed then, before the clock moves.
+  Simulator sim;
+  const auto capture = std::make_shared<int>(0);
+  const auto token = sim.schedule_cancellable(Duration::seconds(2),
+                                              [capture] { ++*capture; });
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(capture.use_count(), 2);
+  token.cancel();
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(capture.use_count(), 1);
+  EXPECT_EQ(sim.now(), SimTime::zero());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(*capture, 0);
 }
 
 TEST(SimulatorTest, CallbackMayScheduleIntoItsOwnSlot) {
@@ -220,6 +244,155 @@ TEST(SimulatorTest, RunUntilSkipsCancelledEventsAtBoundary) {
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.events_processed(), 0u);
   EXPECT_EQ(sim.now(), SimTime::zero() + Duration::millis(15));
+}
+
+/// Drives one Simulator with random schedules, cancels, steps and
+/// run_until()s, and checks it against a reference queue: a std::map of the
+/// pending events keyed on (at, seq), where seq counts schedule calls as the
+/// simulator's tie-break does. Each event that runs must be the reference's
+/// earliest, at its own deadline; a cancelled event must never run, and
+/// idle(), step(), run_until() and events_processed() must agree with the
+/// reference after every operation.
+class RandomSchedule {
+ public:
+  explicit RandomSchedule(std::uint64_t seed) : rng_(seed) {}
+
+  /// Runs `ops` top-level operations, then drains the queue. Returns the
+  /// first disagreement with the reference, or "" if there was none.
+  std::string run(int ops) {
+    for (int i = 0; i < ops && failure_.empty(); ++i) {
+      random_op(/*in_callback=*/false);
+      check(sim_.idle() == pending_.empty(), "idle() disagrees");
+      check(sim_.events_processed() == ran_, "events_processed() disagrees");
+    }
+    sim_.run();
+    check(pending_.empty(), "run() left an uncancelled event unrun");
+    check(sim_.idle(), "idle() is false after run()");
+    check(sim_.events_processed() == ran_, "events_processed() disagrees");
+    return failure_;
+  }
+
+ private:
+  enum class State : std::uint8_t { kPending, kRan, kCancelled };
+  struct Event {
+    SimTime at;
+    std::uint64_t seq;
+    State state;
+  };
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  void check(bool ok, const char* what) {
+    if (!ok && failure_.empty()) failure_ = what;
+  }
+
+  Key key(std::size_t id) const { return {events_[id].at, events_[id].seq}; }
+
+  /// Mostly an instant 0-4 ms ahead, so that ties are common; sometimes an
+  /// RPC timeout's 1-2 s, or exactly the deadline of an earlier event.
+  SimTime pick_deadline() {
+    switch (rng_.uniform(8)) {
+      case 0:
+        return sim_.now() + Duration::millis(rng_.uniform_range(1000, 2000));
+      case 1:
+        if (!events_.empty()) {
+          const SimTime at = events_[rng_.uniform(events_.size())].at;
+          if (at >= sim_.now()) return at;
+        }
+        [[fallthrough]];
+      default:
+        return sim_.now() + Duration::millis(rng_.uniform_range(0, 4));
+    }
+  }
+
+  std::size_t add(SimTime at) {
+    const std::size_t id = events_.size();
+    events_.push_back(Event{at, next_seq_++, State::kPending});
+    pending_.emplace(key(id), id);
+    return id;
+  }
+
+  void fire(std::size_t id) {
+    check(events_[id].state == State::kPending, "a cancelled event ran");
+    check(!pending_.empty() && pending_.begin()->second == id,
+          "an event ran out of (at, seq) order");
+    check(sim_.now() == events_[id].at, "an event ran off its deadline");
+    pending_.erase(key(id));
+    events_[id].state = State::kRan;
+    ++ran_;
+    // Callbacks schedule and cancel from inside, as handlers do.
+    while (rng_.bernoulli(0.3)) random_op(/*in_callback=*/true);
+  }
+
+  void random_op(bool in_callback) {
+    switch (rng_.uniform(in_callback ? 4 : 6)) {
+      case 0: {
+        const std::size_t id = add(pick_deadline());
+        sim_.schedule(events_[id].at - sim_.now(), [this, id] { fire(id); });
+        break;
+      }
+      case 1: {
+        const std::size_t id = add(pick_deadline());
+        sim_.schedule_at(events_[id].at, [this, id] { fire(id); });
+        break;
+      }
+      case 2: {
+        const std::size_t id = add(pick_deadline());
+        tokens_.emplace_back(
+            sim_.schedule_cancellable(events_[id].at - sim_.now(),
+                                      [this, id] { fire(id); }),
+            id);
+        break;
+      }
+      case 3: {
+        // A pending, fired or already cancelled timer alike.
+        if (tokens_.empty()) break;
+        const auto [token, id] = tokens_[rng_.uniform(tokens_.size())];
+        token.cancel();
+        if (events_[id].state == State::kPending) {
+          pending_.erase(key(id));
+          events_[id].state = State::kCancelled;
+        }
+        break;
+      }
+      case 4: {
+        const bool due = !pending_.empty();
+        const SimTime next =
+            due ? events_[pending_.begin()->second].at : sim_.now();
+        check(sim_.step() == due, "step() disagrees on a pending event");
+        check(sim_.now() == next, "step() left the clock off the next event");
+        break;
+      }
+      default: {
+        const SimTime deadline =
+            rng_.uniform(8) == 0
+                ? sim_.now() + Duration::millis(rng_.uniform_range(500, 2500))
+                : sim_.now() + Duration::millis(rng_.uniform_range(0, 5));
+        const std::uint64_t before = ran_;
+        check(sim_.run_until(deadline) == ran_ - before,
+              "run_until() miscounted the events it ran");
+        check(sim_.now() == deadline, "run_until() left the clock off");
+        check(pending_.empty() ||
+                  events_[pending_.begin()->second].at > deadline,
+              "run_until() left a due event");
+        break;
+      }
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::vector<Event> events_;  // by id, in scheduling order
+  std::map<Key, std::size_t> pending_;
+  std::vector<std::pair<Simulator::TimerToken, std::size_t>> tokens_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t ran_ = 0;
+  std::string failure_;
+};
+
+TEST(SimulatorTest, RandomScheduleAndCancelRunInAtSeqOrder) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    EXPECT_EQ(RandomSchedule{seed}.run(2'000), "") << "seed " << seed;
+  }
 }
 
 TEST(SimulatorTest, CountsProcessedEvents) {
